@@ -1,4 +1,4 @@
-.PHONY: build test ci ci-seeds chaos-smoke serve-smoke cluster-smoke watch-smoke bench bench-json bench-serve bench-serve-smoke bench-eval bench-eval-smoke bench-watch bench-watch-smoke clean
+.PHONY: build test ci ci-seeds chaos-smoke serve-smoke cluster-smoke watch-smoke perfbench-smoke bench bench-json bench-serve bench-serve-smoke bench-eval bench-eval-smoke bench-watch bench-watch-smoke clean
 
 build:
 	dune build @all
@@ -27,6 +27,7 @@ ci:
 	$(MAKE) bench-serve-smoke
 	$(MAKE) bench-eval-smoke
 	$(MAKE) bench-watch-smoke
+	$(MAKE) perfbench-smoke
 
 # Seed sweep: the fault-injection and cluster harnesses re-run under
 # several pinned MIRA_FAULT_SEED values.  Each seed draws a different
@@ -199,6 +200,23 @@ watch-smoke: build
 	        --poll-ms 100000 > $$dir/watch.out; \
 	  grep -q "invalidated=3 recomputed=3 cross-files=1" $$dir/watch.out; \
 	  grep -q "h (cross:sig:g)" $$dir/watch.out'
+
+# Benchmark smoke: each perfbench workload runs for two seconds.
+# run.py exits 0 even when one of its gates fails, so the target reads
+# the verdict from the last output line, the JSON result, and requires
+# "correct": true and "failed": 0.  serve_mixed compares a real
+# daemon's answers with in-process results: the end-to-end oracle for
+# the cache tiers and compiled evaluation.
+perfbench-smoke: build
+	for w in cold_batch edit_session serve_mixed; do \
+	  echo "== perfbench $$w"; \
+	  timeout --kill-after=10 300 \
+	    python3 perfbench/run.py --workload $$w --seconds 2 | tail -n 1 \
+	  | python3 -c 'import json, sys; r = json.load(sys.stdin); \
+	      print("correct=%s failed=%s" % (r["correct"], r["failed"])); \
+	      sys.exit(r["correct"] is not True or r["failed"] != 0)' \
+	  || exit 1; \
+	done
 
 bench:
 	dune exec bench/main.exe -- --fast

@@ -1,13 +1,10 @@
 type source = { src_name : string; src_text : string }
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let source_of_file path =
-  { src_name = Filename.basename path; src_text = read_file path }
+  {
+    src_name = Filename.basename path;
+    src_text = In_channel.with_open_bin path In_channel.input_all;
+  }
 
 let expand_paths paths =
   List.concat_map
@@ -98,189 +95,40 @@ let key ~level text =
    either way the output is byte-identical to a fresh analysis. *)
 type payload = { p_name : string; p_model : Model_ir.t; p_python : string }
 
-(* The memory tier is an LRU keyed by digest; entries carry a use tick
-   and eviction scans for the minimum (capacities are small).  All
-   access goes through [c_lock]: lookups and stores are brief, the
-   expensive analysis itself runs outside the lock.  The health
-   counters are atomics, not lock-protected: they are bumped from
-   worker domains during disk I/O, outside the lock. *)
+(* Two Store tiers on one directory: whole-file payloads keyed by [key],
+   and Metric_gen.part values keyed by Fingerprint digest.  Separate
+   LRUs, so file payloads and function parts don't evict each other. *)
+let model_tier =
+  Store.tier ~suffix:".model" ~magic:"MIRAC2\n" ~validate:(fun _ -> true)
+
+let part_tier =
+  Store.tier ~suffix:".fnmodel" ~magic:"MIRAF1\n" ~validate:(fun _ -> true)
+
 type cache = {
-  c_lock : Mutex.t;
-  c_mem : (string, payload * int ref) Hashtbl.t;
-  (* the function tier: Metric_gen.part keyed by Fingerprint digest.
-     A separate table (same lock, same use clock) so file payloads and
-     function parts don't evict each other. *)
-  c_fn_mem : (string, Metric_gen.part * int ref) Hashtbl.t;
-  c_capacity : int;
-  mutable c_tick : int;
+  c_models : payload Store.t;
+  c_parts : Metric_gen.part Store.t;
   c_dir : string option;
-  c_corrupt : int Atomic.t;  (* checksum/decode failures detected *)
-  c_retries : int Atomic.t;  (* I/O attempts retried *)
-  c_io_fail : int Atomic.t;  (* I/O given up on after retries *)
-  c_fn_mem_hits : int Atomic.t;
-  c_fn_disk_hits : int Atomic.t;
   c_fn_fresh : int Atomic.t;  (* functions re-analyzed in isolation *)
 }
 
-let is_tmp_name f =
-  (* entries are published as <digest>.model; anything still carrying a
-     .tmp. infix is an orphan from an interrupted writer.  The .ptmp.
-     infix is Model_compile's prog-tier temporary: distinct so its
-     writers are recognizable, but swept here all the same — a crashed
-     compile must not leak temp blobs forever *)
-  let has sub =
-    let n = String.length sub in
-    let rec find i =
-      i + n <= String.length f && (String.sub f i n = sub || find (i + 1))
-    in
-    find 0
-  in
-  has ".tmp." || has ".ptmp."
-
-(* ---------- cross-process cache locking ----------
-
-   A daemon and a concurrent [mira batch] may share one cache
-   directory.  Entry publication was already safe (atomic rename,
-   checksummed payloads), but eviction was not: one process's
-   [gc_disk] or orphan sweep could delete a [*.tmp.*] file the other
-   was mid-writing, failing that writer's publish.  An advisory
-   [Unix.lockf] region lock on [.mira-cache/.lock] coordinates them:
-   writers hold it {e shared} for the brief write+rename window,
-   GC/sweep holds it {e exclusive}.  Acquisition is non-blocking with
-   a few short retries; on failure the caller degrades — GC is skipped
-   (it can run next time), a store is dropped (cold cache next run) —
-   never crashes and never blocks a batch behind another process.
-
-   POSIX record locks are per-process (closing {e any} descriptor of
-   the lock file drops {e all} of the process's locks on it, and locks
-   taken on two descriptors by one process never conflict), so the
-   file lock alone cannot coordinate threads/domains of one process.
-   Each directory therefore gets one cached lock-file descriptor that
-   is {e never closed} — the close-drops-everything footgun cannot
-   fire — plus an in-process holder mode: shared holders are counted
-   (the file lock is taken on the first and released by the last, and
-   their write+rename sections run {e concurrently}), an exclusive
-   holder (GC/sweep) excludes everyone.  The per-directory mutex
-   covers only these acquire/release transitions, never a caller's
-   critical section, so disk-cache stores from parallel batch workers
-   no longer serialize behind one another's I/O.  (The registry is
-   keyed by the directory path as given; processes use one consistent
-   path per cache, as the CLI does.) *)
-
-let lock_file_name = ".lock"
-
-type dir_lock = {
-  dl_mu : Mutex.t;
-  mutable dl_fd : Unix.file_descr option;  (* cached, never closed *)
-  mutable dl_mode : [ `Free | `Shared of int | `Exclusive ];
-}
-
-let dir_locks_mu = Mutex.create ()
-let dir_locks : (string, dir_lock) Hashtbl.t = Hashtbl.create 4
-
-let dir_lock_for dir =
-  Mutex.lock dir_locks_mu;
-  let dl =
-    match Hashtbl.find_opt dir_locks dir with
-    | Some dl -> dl
-    | None ->
-        let dl = { dl_mu = Mutex.create (); dl_fd = None; dl_mode = `Free } in
-        Hashtbl.add dir_locks dir dl;
-        dl
-  in
-  Mutex.unlock dir_locks_mu;
-  dl
-
-(* must hold [dl.dl_mu] *)
-let dir_lock_fd dl dir =
-  match dl.dl_fd with
-  | Some fd -> Some fd
-  | None -> (
-      let path = Filename.concat dir lock_file_name in
-      match Unix.openfile path [ O_CREAT; O_RDWR; O_CLOEXEC ] 0o644 with
-      | fd ->
-          dl.dl_fd <- Some fd;
-          Some fd
-      | exception (Unix.Unix_error _ | Sys_error _) ->
-          (* cannot even create the lock file (read-only dir, …):
-             degrade *)
-          None)
-
-let rec dir_lock_acquire ~shared dl dir attempt =
-  Mutex.lock dl.dl_mu;
-  let outcome =
-    match (dl.dl_mode, shared) with
-    | `Shared n, true ->
-        (* the process already holds the shared file lock: join it *)
-        dl.dl_mode <- `Shared (n + 1);
-        `Ok
-    | `Free, _ -> (
-        match dir_lock_fd dl dir with
-        | None -> `Fail
-        | Some fd -> (
-            (* one non-blocking attempt; backoff runs with the mutex
-               released so other sections are not held up *)
-            let cmd = if shared then Unix.F_TRLOCK else Unix.F_TLOCK in
-            match Unix.lockf fd cmd 0 with
-            | () ->
-                dl.dl_mode <- (if shared then `Shared 1 else `Exclusive);
-                `Ok
-            | exception Unix.Unix_error ((EAGAIN | EACCES | EINTR), _, _) ->
-                `Busy
-            | exception (Unix.Unix_error _ | Sys_error _) -> `Fail))
-    | (`Shared _ | `Exclusive), _ ->
-        (* an incompatible in-process holder *)
-        `Busy
-  in
-  Mutex.unlock dl.dl_mu;
-  match outcome with
-  | `Ok -> true
-  | `Fail -> false
-  | `Busy ->
-      if attempt >= 3 then false
-      else begin
-        Unix.sleepf (0.002 *. float_of_int (1 lsl attempt));
-        dir_lock_acquire ~shared dl dir (attempt + 1)
-      end
-
-let dir_lock_release dl =
-  Mutex.lock dl.dl_mu;
-  (match dl.dl_mode with
-  | `Shared n when n > 1 -> dl.dl_mode <- `Shared (n - 1)
-  | `Shared _ | `Exclusive -> (
-      dl.dl_mode <- `Free;
-      match dl.dl_fd with
-      | Some fd -> (
-          try Unix.lockf fd Unix.F_ULOCK 0
-          with Unix.Unix_error _ | Sys_error _ -> ())
-      | None -> ())
-  | `Free -> ());
-  Mutex.unlock dl.dl_mu
-
-let with_dir_lock ?(shared = false) dir f =
-  let dl = dir_lock_for dir in
-  if dir_lock_acquire ~shared dl dir 0 then
-    Fun.protect
-      ~finally:(fun () -> dir_lock_release dl)
-      (fun () -> Some (f ()))
-  else None
-
-let sweep_orphans dir =
-  match Sys.readdir dir with
-  | exception Sys_error _ -> ()
-  | entries ->
-      Array.iter
-        (fun f ->
-          if is_tmp_name f then
-            try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        entries
-
-(* the sweep deletes other writers' temporaries, so it needs the
-   exclusive lock; an unobtainable lock just postpones the sweep *)
-let sweep_orphans_locked dir =
-  ignore (with_dir_lock dir (fun () -> sweep_orphans dir))
+let create_cache ?(capacity = 512) ?dir () =
+  {
+    c_models = Store.create model_tier ~capacity ~dir;
+    c_parts = Store.create part_tier ~capacity ~dir;
+    c_dir = dir;
+    c_fn_fresh = Atomic.make 0;
+  }
 
 let cache_dir c = c.c_dir
+let lock_file_name = Store.lock_file_name
+let set_fsync = Store.set_fsync
+
+type recovery_stats = Store.recovery_stats = {
+  rc_scanned : int;
+  rc_quarantined : int;
+}
+
+let recover_dir = Store.recover
 
 type cache_health = {
   h_corrupt : int;
@@ -292,447 +140,20 @@ type cache_health = {
 }
 
 let cache_health c =
+  let m = Store.counters c.c_models and p = Store.counters c.c_parts in
   {
-    h_corrupt = Atomic.get c.c_corrupt;
-    h_io_retries = Atomic.get c.c_retries;
-    h_io_failures = Atomic.get c.c_io_fail;
-    h_fn_mem_hits = Atomic.get c.c_fn_mem_hits;
-    h_fn_disk_hits = Atomic.get c.c_fn_disk_hits;
+    h_corrupt = m.Store.corrupt + p.Store.corrupt;
+    h_io_retries = m.Store.io_retries + p.Store.io_retries;
+    h_io_failures = m.Store.io_failures + p.Store.io_failures;
+    h_fn_mem_hits = p.Store.mem_hits;
+    h_fn_disk_hits = p.Store.disk_hits;
     h_fn_fresh = Atomic.get c.c_fn_fresh;
   }
 
-let locked c f =
-  Mutex.lock c.c_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.c_lock) f
-
-(* LRU lookup/insert, generic over the table so the file tier
-   ([c_mem]) and the function tier ([c_fn_mem]) share one
-   implementation, one lock, and one use clock *)
-let mem_find_in c tbl k =
-  locked c (fun () ->
-      match Hashtbl.find_opt tbl k with
-      | None -> None
-      | Some (m, tick) ->
-          c.c_tick <- c.c_tick + 1;
-          tick := c.c_tick;
-          Some m)
-
-let mem_store_in c tbl k m =
-  locked c (fun () ->
-      if not (Hashtbl.mem tbl k) then begin
-        if Hashtbl.length tbl >= c.c_capacity then begin
-          (* evict the least recently used entry *)
-          let victim = ref None in
-          Hashtbl.iter
-            (fun k' (_, tick) ->
-              match !victim with
-              | Some (_, t) when t <= !tick -> ()
-              | _ -> victim := Some (k', !tick))
-            tbl;
-          match !victim with
-          | Some (k', _) -> Hashtbl.remove tbl k'
-          | None -> ()
-        end;
-        c.c_tick <- c.c_tick + 1;
-        Hashtbl.add tbl k (m, ref c.c_tick)
-      end)
-
-let mem_find c k = mem_find_in c c.c_mem k
-let mem_store c k m = mem_store_in c c.c_mem k m
-
-(* ---------- checksummed disk payloads ---------- *)
-
-exception Corrupt_entry of string
-
-let payload_magic = "MIRAC2\n"
-let fn_magic = "MIRAF1\n"
-
-(* magic + MD5-of-body + marshalled body; both tiers use the same
-   frame with their own magic *)
-let encode_blob ~magic body = magic ^ Digest.string body ^ body
-
-let decode_blob ~magic data =
-  let mlen = String.length magic in
-  if String.length data < mlen + 16 then raise (Corrupt_entry "truncated entry");
-  if String.sub data 0 mlen <> magic then raise (Corrupt_entry "bad magic");
-  let digest = String.sub data mlen 16 in
-  let body = String.sub data (mlen + 16) (String.length data - mlen - 16) in
-  if Digest.string body <> digest then
-    raise (Corrupt_entry "checksum mismatch");
-  body
-
-let encode_payload (m : payload) =
-  encode_blob ~magic:payload_magic (Marshal.to_string m [])
-
-let decode_payload data : payload =
-  let body = decode_blob ~magic:payload_magic data in
-  (* the checksum matched, so this is byte-for-byte what a writer
-     produced and unmarshalling is safe *)
-  match (Marshal.from_string body 0 : payload) with
-  | p -> p
-  | exception _ -> raise (Corrupt_entry "undecodable payload")
-
-let encode_fn_payload (p : Metric_gen.part) =
-  encode_blob ~magic:fn_magic (Marshal.to_string p [])
-
-let decode_fn_payload data : Metric_gen.part =
-  let body = decode_blob ~magic:fn_magic data in
-  match (Marshal.from_string body 0 : Metric_gen.part) with
-  | p -> p
-  | exception _ -> raise (Corrupt_entry "undecodable payload")
-
-(* ---------- durable publish ----------
-
-   tmp+rename is atomic against concurrent readers but not against
-   machine crashes: without fsync the rename can reach disk before the
-   temporary's data blocks, so a crash leaves a {e published} name with
-   torn contents.  Every cache tier (file [.model], function
-   [.fnmodel], compiled-program [.prog]) publishes through this one
-   helper: write the temporary, fsync it, rename into place, then
-   fsync the directory so the new name itself survives the crash.
-   [set_fsync false] ([--no-fsync]) drops the fsyncs for benches,
-   leaving the checksum layer as the only defence.  The [crash] fault
-   site fires {e between} the steps, SIGKILLing the process exactly
-   where a real crash would bite; the chaos harness sweeps it through
-   hundreds of publishes and asserts the startup recovery scan leaves
-   nothing torn behind. *)
-
-let fsync_enabled = Atomic.make true
-let set_fsync on = Atomic.set fsync_enabled on
-
-(* directory fsync is best-effort: some filesystems refuse it, and a
-   lost directory entry is re-creatable (a cache miss), unlike torn
-   contents under a published name *)
-let fsync_dir dir =
-  if Atomic.get fsync_enabled then
-    match Unix.openfile dir [ O_RDONLY; O_CLOEXEC ] 0 with
-    | fd ->
-        Fun.protect
-          ~finally:(fun () ->
-            try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-    | exception (Unix.Unix_error _ | Sys_error _) -> ()
-
-let durable_publish ?(before_rename = ignore) ~subject ~tmp ~final data =
-  let crash point = Faults.maybe_crash ~subject:(subject ^ "@" ^ point) in
-  try
-    let fd =
-      Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        let n = String.length data in
-        let off = ref 0 in
-        while !off < n do
-          off := !off + Unix.write_substring fd data !off (n - !off)
-        done;
-        crash "tmp-written";
-        if Atomic.get fsync_enabled then Unix.fsync fd;
-        crash "tmp-synced");
-    before_rename ();
-    Unix.rename tmp final;
-    crash "renamed";
-    fsync_dir (Filename.dirname final)
-  with Unix.Unix_error (e, fn, _) ->
-    (* callers speak Sys_error (retry loops, degrade-to-miss paths) *)
-    raise
-      (Sys_error (Printf.sprintf "%s %s: %s" fn tmp (Unix.error_message e)))
-
-(* ---------- retrying disk I/O ---------- *)
-
-let backoff_s attempt = 0.0005 *. (4.0 ** float_of_int attempt)
-
-(* Run [op attempt], retrying transient [Sys_error]s with bounded
-   exponential backoff.  [op] receives the attempt number so fault
-   injection can key on it (a retry may then succeed, exercising the
-   recovery path rather than looping on the same decision).  The
-   backoff respects the caller's wall-clock deadline: a retry sleep is
-   capped at the time remaining, and once the deadline has passed we
-   stop retrying rather than burn time the request no longer has —
-   without this, a slow disk near the deadline could make a budgeted
-   request overrun its own timeout while asleep. *)
-let with_io_retries c ~retries op =
-  let rec go attempt =
-    try op attempt
-    with Sys_error _ as e when attempt < retries -> (
-      match Limits.Budget.time_left_s () with
-      | Some left when left <= 0.0 -> raise e
-      | left ->
-          Atomic.incr c.c_retries;
-          let pause = backoff_s attempt in
-          let pause =
-            match left with
-            | Some l -> Float.min pause l
-            | None -> pause
-          in
-          Unix.sleepf pause;
-          go (attempt + 1))
-  in
-  go 0
-
-let inject_io faults ~p ~site ~subject ~attempt =
-  match faults with
-  | Some f when Faults.fires f ~p:(p f) ~site ~subject:(Printf.sprintf "%s#%d" subject attempt)
-    ->
-      raise (Sys_error ("injected " ^ site))
-  | _ -> ()
-
-let file_suffix = ".model"
-let fn_suffix = ".fnmodel"
-
-let disk_path ~suffix dir k = Filename.concat dir (k ^ suffix)
-
-(* ---------- crash recovery ---------- *)
-
-type recovery_stats = { rc_scanned : int; rc_quarantined : int }
-
-let quarantine_suffix = ".quarantined"
-
-(* Startup recovery scan.  Even with durable publish, a cache written
-   by an older build, a --no-fsync run, or a filesystem that reorders
-   rename and data writes can survive a crash with a published name
-   over torn bytes.  Re-verify every entry's checksum and move the
-   torn ones aside to NAME.quarantined — kept for post-mortems,
-   invisible to every reader (wrong suffix) — so no consumer ever has
-   to trust a post-crash cache.  Unreadable files are left alone (the
-   read path degrades to a miss there anyway); an unobtainable lock
-   postpones the scan to the next startup, like the orphan sweep.
-   [entries] maps an entry suffix to its magic; the default covers the
-   two Batch tiers, and Model_compile passes its prog tier — all three
-   share the magic+checksum+body frame, so one scan serves them
-   all. *)
-let recover_dir ?entries dir =
-  let entries =
-    match entries with
-    | Some e -> e
-    | None -> [ (file_suffix, payload_magic); (fn_suffix, fn_magic) ]
-  in
-  let scanned = ref 0 and quarantined = ref 0 in
-  (match
-     with_dir_lock dir (fun () ->
-         match Sys.readdir dir with
-         | exception Sys_error _ -> ()
-         | names ->
-             Array.sort compare names;
-             Array.iter
-               (fun f ->
-                 if not (is_tmp_name f) then
-                   match
-                     List.find_opt
-                       (fun (suf, _) -> Filename.check_suffix f suf)
-                       entries
-                   with
-                   | None -> ()
-                   | Some (_, magic) -> (
-                       incr scanned;
-                       let path = Filename.concat dir f in
-                       match decode_blob ~magic (read_file path) with
-                       | _body -> ()
-                       | exception Corrupt_entry _ ->
-                           (try Sys.rename path (path ^ quarantine_suffix)
-                            with Sys_error _ -> ());
-                           incr quarantined
-                       | exception Sys_error _ -> ()))
-               names)
-   with
-  | Some () | None -> ());
-  { rc_scanned = !scanned; rc_quarantined = !quarantined }
-
-let create_cache ?(capacity = 512) ?dir () =
-  (match dir with
-  | Some d when Sys.file_exists d ->
-      sweep_orphans_locked d;
-      ignore (recover_dir d)
-  | _ -> ());
-  {
-    c_lock = Mutex.create ();
-    c_mem = Hashtbl.create 64;
-    c_fn_mem = Hashtbl.create 256;
-    c_capacity = max 1 capacity;
-    c_tick = 0;
-    c_dir = dir;
-    c_corrupt = Atomic.make 0;
-    c_retries = Atomic.make 0;
-    c_io_fail = Atomic.make 0;
-    c_fn_mem_hits = Atomic.make 0;
-    c_fn_disk_hits = Atomic.make 0;
-    c_fn_fresh = Atomic.make 0;
-  }
-
-(* a successful read refreshes the entry's mtime so {!gc_disk}'s
-   LRU-by-mtime eviction spares hot entries *)
-let touch path =
-  try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> () | Sys_error _ -> ()
-
-let disk_find_blob ~faults ~retries ~suffix ~decode c k =
-  match c.c_dir with
-  | None -> None
-  | Some dir -> (
-      let path = disk_path ~suffix dir k in
-      if not (Sys.file_exists path) then None
-      else
-        match
-          with_io_retries c ~retries (fun attempt ->
-              inject_io faults
-                ~p:(fun f -> f.Faults.read_p)
-                ~site:"disk_read" ~subject:k ~attempt;
-              read_file path)
-        with
-        | exception Sys_error _ ->
-            (* persistently unreadable: degrade to a miss *)
-            Atomic.incr c.c_io_fail;
-            None
-        | data -> (
-            match decode data with
-            | p ->
-                touch path;
-                Some p
-            | exception Corrupt_entry _ ->
-                (* detected, counted, and removed so the fresh result
-                   can be rewritten cleanly *)
-                Atomic.incr c.c_corrupt;
-                (try Sys.remove path with Sys_error _ -> ());
-                None))
-
-let disk_store_blob ~faults ~retries ~suffix c k full =
-  match c.c_dir with
-  | None -> ()
-  | Some dir -> (
-      let data =
-        match faults with
-        | Some f when Faults.fires f ~p:f.corrupt_p ~site:"corrupt" ~subject:k
-          ->
-            (* a deliberately truncated payload: readable, wrong
-               checksum — must be detected on the next read *)
-            String.sub full 0 (String.length full / 2)
-        | _ -> full
-      in
-      let tmp =
-        (* thread id, not domain id: concurrent daemon threads all
-           live on domain 0 and their stores now overlap in time, so
-           the temporary must be unique per writer thread (thread ids
-           are process-unique, covering worker domains too) *)
-        disk_path ~suffix dir
-          (Printf.sprintf "%s.tmp.%d" k (Thread.id (Thread.self ())))
-      in
-      if not (Sys.file_exists dir) then begin
-        try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-      end;
-      (* hold the directory lock (shared) for the write+rename window
-         so a concurrent process's GC cannot sweep [tmp] from under
-         us; an unobtainable lock degrades to skipping the store *)
-      match
-        with_dir_lock ~shared:true dir (fun () ->
-            with_io_retries c ~retries (fun attempt ->
-                inject_io faults
-                  ~p:(fun f -> f.Faults.write_p)
-                  ~site:"disk_write" ~subject:k ~attempt;
-                durable_publish ~subject:k ~tmp
-                  ~final:(disk_path ~suffix dir k)
-                  ~before_rename:(fun () ->
-                    inject_io faults
-                      ~p:(fun f -> f.Faults.rename_p)
-                      ~site:"rename" ~subject:k ~attempt)
-                  data))
-      with
-      | Some () -> ()
-      | None | (exception Sys_error _) ->
-          (* a cold cache next time, never a failed batch; don't leave
-             the orphan behind (the next create_cache would sweep it,
-             but be tidy) *)
-          Atomic.incr c.c_io_fail;
-          (try Sys.remove tmp with Sys_error _ -> ()))
-
-let disk_find ~faults ~retries c k =
-  disk_find_blob ~faults ~retries ~suffix:file_suffix ~decode:decode_payload c k
-
-let disk_store ~faults ~retries c k m =
-  disk_store_blob ~faults ~retries ~suffix:file_suffix c k (encode_payload m)
-
-let disk_find_fn ~faults ~retries c k =
-  disk_find_blob ~faults ~retries ~suffix:fn_suffix ~decode:decode_fn_payload c
-    k
-
-let disk_store_fn ~faults ~retries c k p =
-  disk_store_blob ~faults ~retries ~suffix:fn_suffix c k (encode_fn_payload p)
-
-(* A memory-tier hit never reads the disk copy, so refresh its mtime
-   explicitly: otherwise entries that stay hot in the LRU look cold to
-   {!gc_disk} and are evicted first, turning the next cold start into
-   a full miss. *)
-let touch_disk ~suffix c k =
-  match c.c_dir with
-  | None -> ()
-  | Some dir -> touch (disk_path ~suffix dir k)
-
-(* ---------- disk-tier eviction ---------- *)
-
-(* Size-capped GC: scan the cache directory, and if the published
-   entries exceed [max_bytes], remove oldest-mtime-first (reads touch
-   mtime, so this is LRU) until under the cap.  Removals are atomic
-   ([Sys.remove]); a concurrently vanishing file is tolerated.  Orphan
-   temporaries are swept too, as in [create_cache].  The whole pass
-   runs under the exclusive directory lock so it cannot sweep a
-   temporary another process is about to publish; when the lock is
-   busy the pass is skipped — eviction is best-effort housekeeping,
-   and the next run will do it. *)
-let gc_disk_unlocked ~max_bytes c =
-  match c.c_dir with
-  | None -> (0, 0)
-  | Some dir -> (
-      match Sys.readdir dir with
-      | exception Sys_error _ -> (0, 0)
-      | entries ->
-          let files =
-            Array.to_list entries
-            |> List.filter_map (fun f ->
-                   if is_tmp_name f then (
-                     (try Sys.remove (Filename.concat dir f)
-                      with Sys_error _ -> ());
-                     None)
-                   else if
-                     Filename.check_suffix f file_suffix
-                     || Filename.check_suffix f fn_suffix
-                   then
-                     let path = Filename.concat dir f in
-                     match Unix.stat path with
-                     | st -> Some (path, st.Unix.st_mtime, st.Unix.st_size)
-                     | exception Unix.Unix_error _ -> None
-                     | exception Sys_error _ -> None
-                   else None)
-          in
-          let total = List.fold_left (fun a (_, _, sz) -> a + sz) 0 files in
-          if total <= max_bytes then (0, 0)
-          else
-            (* oldest first *)
-            let files =
-              List.sort (fun (_, m1, _) (_, m2, _) -> compare m1 m2) files
-            in
-            let removed = ref 0 and freed = ref 0 and live = ref total in
-            List.iter
-              (fun (path, _, sz) ->
-                if !live > max_bytes then
-                  match Sys.remove path with
-                  | () ->
-                      incr removed;
-                      freed := !freed + sz;
-                      live := !live - sz
-                  | exception Sys_error _ -> ())
-              files;
-            (!removed, !freed))
-
 let gc_disk ~max_bytes c =
-  match c.c_dir with
-  | None -> (0, 0)
-  | Some dir -> (
-      match with_dir_lock dir (fun () -> gc_disk_unlocked ~max_bytes c) with
-      | Some r -> r
-      | None -> (0, 0))
+  match c.c_dir with None -> (0, 0) | Some dir -> Store.gc ~max_bytes dir
 
-(* ---------- cache merge ---------- *)
-
-type merge_stats = {
+type merge_stats = Store.merge_stats = {
   mg_scanned : int;
   mg_copied : int;
   mg_present : int;
@@ -740,69 +161,7 @@ type merge_stats = {
   mg_failed : int;
 }
 
-(* Entries are content-addressed, so merging cache directories is a
-   union: a name present in [dst] already holds the same bytes (same
-   digest key, same version in the key) and is skipped.  Each copy is
-   checksum-verified first — a merge must not propagate a corrupt
-   entry from a damaged shard cache into a healthy one — and published
-   with the same tmp+rename, shared-directory-lock discipline as a
-   cache store, so a daemon serving from [dst] meanwhile never
-   observes a torn entry. *)
-let merge_dirs ~dst srcs =
-  if not (Sys.file_exists dst) then begin
-    try Sys.mkdir dst 0o755 with Sys_error _ -> ()
-  end;
-  let scanned = ref 0 and copied = ref 0 and present = ref 0 in
-  let corrupt = ref 0 and failed = ref 0 in
-  let entry_magic f =
-    if Filename.check_suffix f file_suffix then Some payload_magic
-    else if Filename.check_suffix f fn_suffix then Some fn_magic
-    else None
-  in
-  List.iter
-    (fun src ->
-      match Sys.readdir src with
-      | exception Sys_error _ -> incr failed
-      | entries ->
-          Array.sort compare entries;
-          Array.iter
-            (fun f ->
-              match entry_magic f with
-              | None -> ()
-              | Some _ when is_tmp_name f -> ()
-              | Some magic -> (
-                  incr scanned;
-                  let target = Filename.concat dst f in
-                  if Sys.file_exists target then incr present
-                  else
-                    match read_file (Filename.concat src f) with
-                    | exception Sys_error _ -> incr failed
-                    | data -> (
-                        match decode_blob ~magic data with
-                        | exception Corrupt_entry _ -> incr corrupt
-                        | _body -> (
-                            let tmp =
-                              Filename.concat dst
-                                (Printf.sprintf "%s.tmp.%d" f (Unix.getpid ()))
-                            in
-                            match
-                              with_dir_lock ~shared:true dst (fun () ->
-                                  durable_publish ~subject:f ~tmp
-                                    ~final:target data)
-                            with
-                            | Some () -> incr copied
-                            | None | (exception Sys_error _) ->
-                                (try Sys.remove tmp with Sys_error _ -> ());
-                                incr failed))))
-            entries)
-    srcs;
-  {
-    mg_scanned = !scanned;
-    mg_copied = !copied;
-    mg_present = !present;
-    mg_corrupt = !corrupt;
-    mg_failed = !failed;
-  }
+let merge_dirs = Store.merge
 
 (* ---------- one task ---------- *)
 
@@ -831,27 +190,10 @@ let analyze_incremental ~level ~faults ~retries c ~src_name ~src_text =
     List.map
       (fun f ->
         let d = Input_processor.function_digest pr ~salt f in
-        let part =
-          match mem_find_in c c.c_fn_mem d with
-          | Some part ->
-              Atomic.incr c.c_fn_mem_hits;
-              touch_disk ~suffix:fn_suffix c d;
-              Some part
-          | None -> (
-              match disk_find_fn ~faults ~retries c d with
-              | Some part ->
-                  Atomic.incr c.c_fn_disk_hits;
-                  mem_store_in c c.c_fn_mem d part;
-                  Some part
-              | None -> None)
-        in
-        (f, d, part))
+        (f, d, Option.map fst (Store.find c.c_parts ~faults ~retries d)))
       fns
   in
-  let store_part d part =
-    mem_store_in c c.c_fn_mem d part;
-    disk_store_fn ~faults ~retries c d part
-  in
+  let store_part d part = Store.add c.c_parts ~faults ~retries d part in
   if List.for_all (fun (_, _, part) -> part = None) probed then begin
     (* nothing reusable: one whole-file compilation, then seed the
        function tier from its parts *)
@@ -925,35 +267,28 @@ let analyze_one ~level ~cache ~incremental ~limits ~faults
         match cache with
         | None -> (fresh (), Fresh)
         | Some c -> (
-            match mem_find c k with
-            | Some p ->
-                touch_disk ~suffix:file_suffix c k;
-                (rename p, Mem)
-            | None -> (
-                match disk_find ~faults ~retries c k with
-                | Some p ->
-                    mem_store c k p;
-                    (rename p, Disk)
-                | None ->
-                    let p, tier =
-                      if incremental then
-                        let model, misses =
-                          analyze_incremental ~level ~faults ~retries c
-                            ~src_name ~src_text
-                        in
-                        ( {
-                            p_name = src_name;
-                            p_model = model;
-                            p_python = Python_emit.emit model;
-                          },
-                          match misses with
-                          | None -> Fresh
-                          | Some m -> Assembled m )
-                      else (fresh (), Fresh)
+            match Store.find c.c_models ~faults ~retries k with
+            | Some (p, Store.Memory) -> (rename p, Mem)
+            | Some (p, Store.Disk) -> (rename p, Disk)
+            | None ->
+                let p, tier =
+                  if incremental then
+                    let model, misses =
+                      analyze_incremental ~level ~faults ~retries c ~src_name
+                        ~src_text
                     in
-                    mem_store c k p;
-                    disk_store ~faults ~retries c k p;
-                    (p, tier))))
+                    ( {
+                        p_name = src_name;
+                        p_model = model;
+                        p_python = Python_emit.emit model;
+                      },
+                      match misses with
+                      | None -> Fresh
+                      | Some m -> Assembled m )
+                  else (fresh (), Fresh)
+                in
+                Store.add c.c_models ~faults ~retries k p;
+                (p, tier)))
   with
   | payload, tier ->
       ( Ok

@@ -21,15 +21,14 @@
       {!Limits} budget, a timeout, an injected {!Faults} event, or an
       unexpected exception (classified [Internal_error] with a captured
       backtrace) — becomes a structured {!Diag.t} in that source's slot
-      while the rest of the batch proceeds.  Disk-cache entries are
-      checksummed; corrupt or unreadable entries are counted and
-      degraded to misses, transient I/O errors are retried with bounded
-      backoff, and orphaned temporary files are swept when a cache is
-      opened.
+      while the rest of the batch proceeds.  Corrupt or unreadable
+      cache entries are counted and degraded to misses, and transient
+      I/O errors are retried with bounded backoff ({!Store}).
 
-    The cache has an in-memory LRU tier (always) and an optional
-    on-disk tier (a directory of marshalled model + emitted-Python
-    payloads, conventionally [.mira-cache/]). *)
+    The cache is two {!Store} tiers — whole-file payloads (model plus
+    emitted Python) and per-function parts — each an in-memory LRU
+    plus, optionally, entries in a directory (conventionally
+    [.mira-cache/]). *)
 
 type source = { src_name : string; src_text : string }
 
@@ -97,80 +96,30 @@ val fn_cache_version : string
     {!Metric_gen.part} or its serialization changes. *)
 
 val create_cache : ?capacity:int -> ?dir:string -> unit -> cache
-(** [capacity] bounds the in-memory LRU tier (default 512 entries).
-    [dir] enables the on-disk tier; it is created on first write, and
-    an existing directory gets the startup housekeeping now (under the
-    directory lock — see {!lock_file_name}): orphaned temporaries from
-    interrupted writers are swept ([*.tmp.*], and [*.ptmp.*] from the
-    {!Model_compile} prog tier), and the {!recover_dir} integrity scan
-    quarantines any entry a crash left torn. *)
+(** [capacity] bounds each in-memory LRU tier (default 512 entries).
+    [dir] enables the on-disk tiers, [.model] and [.fnmodel] entries of
+    a {!Store} directory; it is created on first write.  Opening an
+    existing directory runs {!Store.create}'s startup housekeeping. *)
 
 val set_fsync : bool -> unit
-(** Process-wide durability switch (default on).  When on, every cache
-    publish — all tiers — fsyncs the entry file before the
-    rename-publish and the directory after it, so a machine crash
-    cannot leave a published name over torn bytes.  [set_fsync false]
-    ([--no-fsync]) drops both fsyncs for benchmarking; the checksum
-    layer and {!recover_dir} then remain the only defence. *)
+(** {!Store.set_fsync}: process-wide, every tier ([--no-fsync] turns it
+    off). *)
 
-val durable_publish :
-  ?before_rename:(unit -> unit) ->
-  subject:string ->
-  tmp:string ->
-  final:string ->
-  string ->
-  unit
-(** The one crash-consistent publish path shared by every cache tier
-    ([.model], [.fnmodel], and {!Model_compile}'s [.prog]): write
-    [data] to [tmp], fsync it, rename over [final], fsync the parent
-    directory (fsyncs subject to {!set_fsync}).  [before_rename] runs
-    between the file sync and the rename (fault-injection hook).  The
-    {!Faults.set_crash} site fires at seeded points between the steps
-    — subjects ["SUBJECT@tmp-written"], ["@tmp-synced"], ["@renamed"]
-    — SIGKILLing the process where a real crash would bite.  I/O
-    failures raise [Sys_error].  Callers are expected to hold the
-    shared directory lock. *)
+type recovery_stats = Store.recovery_stats = {
+  rc_scanned : int;
+  rc_quarantined : int;
+}
 
-type recovery_stats = { rc_scanned : int; rc_quarantined : int }
-
-val quarantine_suffix : string
-(** [".quarantined"] — appended to a torn entry's name by
-    {!recover_dir}; no reader or sweeper matches the suffix, so
-    quarantined files are inert but kept for post-mortems. *)
-
-val recover_dir : ?entries:(string * string) list -> string -> recovery_stats
-(** Crash-recovery integrity scan over a cache directory: re-verify
-    the checksum of every published entry and rename torn ones to
-    [NAME ^ quarantine_suffix].  [entries] maps entry suffix to magic
-    and defaults to the two Batch tiers; {!Model_compile} adds its
-    prog tier.  Runs under the exclusive directory lock (a busy lock
-    postpones the scan); {!create_cache} runs it on every existing
-    directory it opens. *)
+val recover_dir : string -> recovery_stats
+(** {!Store.recover}: quarantine the torn entries of every tier. *)
 
 val cache_dir : cache -> string option
-(** The disk tier's directory, when one was given — other per-model
+(** The disk tiers' directory, when one was given — other per-model
     caches (e.g. {!Model_compile.cache}) co-locate their entries
     there. *)
 
 val lock_file_name : string
-(** Name of the advisory lock file ([".lock"]) kept inside a disk
-    cache directory.  Writers hold a shared [Unix.lockf] lock on it
-    for the write+rename window of each entry; {!gc_disk} and the
-    orphan sweep hold it exclusively, so two processes sharing one
-    cache directory (a daemon and a concurrent [mira batch], say)
-    cannot evict or sweep what the other is mid-writing.  Acquisition
-    is always non-blocking with bounded retry; failure degrades —
-    GC is skipped, a store is dropped — and never blocks or crashes
-    a run. *)
-
-val with_dir_lock : ?shared:bool -> string -> (unit -> 'a) -> 'a option
-(** Run [f] holding the advisory directory lock ({!lock_file_name}) —
-    shared (default exclusive: [?shared] defaults to [false]) for a
-    writer's publish window, exclusive for sweep/GC-style passes.
-    Non-blocking with bounded retry; [None] means the lock could not
-    be taken and [f] never ran (callers degrade).  Used by
-    {!Model_compile} so its prog-tier publishes participate in the
-    same cross-process discipline. *)
+(** {!Store.lock_file_name}. *)
 
 type cache_health = {
   h_corrupt : int;
@@ -182,42 +131,31 @@ type cache_health = {
 }
 
 val cache_health : cache -> cache_health
-(** Cumulative robustness and function-tier counters over the cache
-    value's lifetime ({!stats} reports per-run deltas of these). *)
+(** Cumulative robustness and function-tier counters of the two tiers
+    over the cache value's lifetime ({!stats} reports per-run deltas of
+    these). *)
 
 val gc_disk : max_bytes:int -> cache -> int * int
-(** Size-capped eviction of the disk tier: if the directory's
-    published entries ([.model] and [.fnmodel]) exceed [max_bytes],
-    remove least-recently-used first (successful reads refresh an
-    entry's mtime) until under the cap; orphaned temporaries are swept
-    unconditionally.  Returns [(entries_removed, bytes_freed)].
-    Removals are atomic, so a concurrent reader at worst takes a
-    miss.  The pass runs under the exclusive directory lock
-    ({!lock_file_name}); if another process holds it the pass is
-    skipped and [(0, 0)] is returned.  No-op without a disk tier. *)
+(** {!Store.gc} on the cache's directory: size-capped LRU eviction of
+    the entries of every tier sharing it ([.model], [.fnmodel] and
+    {!Model_compile}'s [.prog]).  Returns
+    [(entries_removed, bytes_freed)]; no-op without a disk tier. *)
 
 val key : level:Mira_codegen.Codegen.level -> string -> string
 (** The content-addressed cache key (hex digest) of a source text. *)
 
-type merge_stats = {
-  mg_scanned : int;  (** entries examined across all sources *)
+type merge_stats = Store.merge_stats = {
+  mg_scanned : int;
   mg_copied : int;
-  mg_present : int;  (** already in the destination, skipped *)
-  mg_corrupt : int;  (** failed checksum verification, not copied *)
-  mg_failed : int;  (** I/O or lock failures (the merge keeps going) *)
+  mg_present : int;
+  mg_corrupt : int;
+  mg_failed : int;
 }
 
 val merge_dirs : dst:string -> string list -> merge_stats
-(** Union the entries of the source cache directories into [dst]
-    (created if missing).  Entries are content-addressed, so a
-    filename already present in [dst] is the same payload and is
-    skipped; everything copied is checksum-verified first and
-    published atomically (tmp + rename) under the shared directory
-    lock ({!lock_file_name}), so a daemon serving from [dst]
-    concurrently never sees a torn entry.  After
-    [merge_dirs ~dst shard_caches], a batch over the union of the
-    shards' inputs runs entirely warm against [dst].  Never raises;
-    failures are counted and the merge proceeds. *)
+(** {!Store.merge}: union the source cache directories into [dst].
+    After [merge_dirs ~dst shard_caches], a batch over the union of the
+    shards' inputs runs entirely warm against [dst]. *)
 
 val run :
   ?jobs:int ->

@@ -75,10 +75,10 @@ val fires : t -> p:float -> site:string -> subject:string -> bool
     process dies by self-SIGKILL — no unwind, no finalizers, no
     buffered-IO flush, exactly what a power cut leaves behind.  It
     fires at seeded points {e inside} the cache publish sequence
-    ({!Batch.durable_publish}: between write, fsync and rename), which
-    is what makes crash-consistent publish testable: a harness forks a
-    child per publish, lets the seed pick where it dies, and asserts
-    the {!Batch.recover_dir} scan finds nothing torn.  Because only
+    ({!Store.add}: between write, fsync and rename), which is what
+    makes crash-consistent publish testable: a harness forks a child
+    per publish, lets the seed pick where it dies, and asserts the
+    {!Store.recover} scan finds nothing torn.  Because only
     one death schedule per process is meaningful, it is process-global
     state armed by {!set_crash} (or a [crash=P] key in {!parse}, using
     that spec's seed), not a field of [t]. *)

@@ -698,7 +698,7 @@ let seconds (p : prog) (out : float array) =
   cycles p out /. (p.p_clock_ghz *. 1e9)
 
 (* ------------------------------------------------------------------ *)
-(* Program cache: memory LRU + checksummed disk tier                   *)
+(* Program cache: two Store tiers                                      *)
 (* ------------------------------------------------------------------ *)
 
 type stats = {
@@ -708,57 +708,28 @@ type stats = {
   fallbacks : int;  (** requests answered "not compilable" *)
 }
 
-type centry = { ce_prog : prog; mutable ce_used : int }
+(* Programs in memory and on disk; "not compilable" verdicts in memory
+   only, so sweeps over an uncompilable model don't re-attempt
+   compilation per binding.  The program tier gets no I/O fault
+   schedule and no retries. *)
+type cache = { c_progs : prog Store.t; c_rejected : string Store.t }
 
-type cache = {
-  c_mutex : Mutex.t;
-  c_mem : (string, centry) Hashtbl.t;
-  c_neg : (string, string) Hashtbl.t;  (* key -> Not_compilable reason *)
-  c_capacity : int;
-  c_dir : string option;
-  mutable c_tick : int;
-  mutable c_hits : int;
-  mutable c_misses : int;
-  mutable c_disk_hits : int;
-  mutable c_fallbacks : int;
-}
-
-let disk_magic = "MIRAPROG1\n"
-let disk_suffix = ".prog"
-let recovery_entry = (disk_suffix, disk_magic)
+let prog_tier = Store.tier ~suffix:".prog" ~magic:"MIRAPROG1\n" ~validate
 
 let create_cache ?(capacity = 256) ?dir () =
-  (* same startup recovery discipline as the Batch tiers: quarantine
-     any prog entry a crash left torn before anything can load it *)
-  (match dir with
-  | Some d when Sys.file_exists d ->
-      ignore (Batch.recover_dir ~entries:[ recovery_entry ] d)
-  | _ -> ());
   {
-    c_mutex = Mutex.create ();
-    c_mem = Hashtbl.create 64;
-    c_neg = Hashtbl.create 16;
-    c_capacity = max 1 capacity;
-    c_dir = dir;
-    c_tick = 0;
-    c_hits = 0;
-    c_misses = 0;
-    c_disk_hits = 0;
-    c_fallbacks = 0;
+    c_progs = Store.create prog_tier ~capacity ~dir;
+    c_rejected = Store.memory ~capacity;
   }
 
 let stats c =
-  Mutex.lock c.c_mutex;
-  let s =
-    {
-      hits = c.c_hits;
-      misses = c.c_misses;
-      disk_hits = c.c_disk_hits;
-      fallbacks = c.c_fallbacks;
-    }
-  in
-  Mutex.unlock c.c_mutex;
-  s
+  let p = Store.counters c.c_progs and r = Store.counters c.c_rejected in
+  {
+    hits = p.Store.mem_hits + p.Store.disk_hits;
+    misses = p.Store.stores;
+    disk_hits = p.Store.disk_hits;
+    fallbacks = r.Store.mem_hits + r.Store.stores;
+  }
 
 let cache_version = "mira-prog-1"
 
@@ -786,129 +757,27 @@ let key ~digest ?arch ~mode ~fname ~sweep ~fixed () =
       add (Stdlib.Digest.to_hex (Stdlib.Digest.string (Archdesc.to_text a))));
   Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents b))
 
-(* Temporary-file suffix distinct from Batch's "*.tmp.*" pattern so
-   prog writers stay recognizable; Batch's orphan sweep knows it and
-   removes stale ".ptmp." files too, which is why the publish below
-   holds the shared directory lock for its write+rename window. *)
-let disk_path dir k = Filename.concat dir (k ^ disk_suffix)
-
-let mkdir_p dir =
-  try Unix.mkdir dir 0o755 with
-  | Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  | Unix.Unix_error _ -> ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let store_disk dir k (p : prog) =
-  try
-    mkdir_p dir;
-    let payload = Marshal.to_string p [] in
-    let sum = Stdlib.Digest.string payload in
-    let tmp =
-      Filename.concat dir
-        (Printf.sprintf "%s.ptmp.%d" k (Unix.getpid ()))
-    in
-    ignore
-      (Batch.with_dir_lock ~shared:true dir (fun () ->
-           Batch.durable_publish ~subject:k ~tmp ~final:(disk_path dir k)
-             (disk_magic ^ sum ^ payload)))
-  with _ -> ()  (* disk tier is best-effort *)
-
-let load_disk dir k : prog option =
-  try
-    let s = read_file (disk_path dir k) in
-    let mlen = String.length disk_magic in
-    if String.length s < mlen + 16 then None
-    else if String.sub s 0 mlen <> disk_magic then None
-    else
-      let sum = String.sub s mlen 16 in
-      let payload = String.sub s (mlen + 16) (String.length s - mlen - 16) in
-      if not (String.equal (Stdlib.Digest.string payload) sum) then None
-      else
-        let p : prog = Marshal.from_string payload 0 in
-        if validate p then Some p else None
-  with _ -> None
-
-let evict_excess c =
-  while Hashtbl.length c.c_mem > c.c_capacity do
-    let victim =
-      Hashtbl.fold
-        (fun k e acc ->
-          match acc with
-          | Some (_, u) when u <= e.ce_used -> acc
-          | _ -> Some (k, e.ce_used))
-        c.c_mem None
-    in
-    match victim with
-    | Some (k, _) -> Hashtbl.remove c.c_mem k
-    | None -> ()
-  done
-
-let insert c k p =
-  Mutex.lock c.c_mutex;
-  c.c_tick <- c.c_tick + 1;
-  Hashtbl.replace c.c_mem k { ce_prog = p; ce_used = c.c_tick };
-  evict_excess c;
-  Mutex.unlock c.c_mutex
-
-(* Look up or compile.  [digest] identifies the model content (the
-   daemon uses the digest of the emitted Python, which is in turn a
-   function of the source digest).  Raises like [compile] for model /
-   parameter errors; "not compilable" is an [Error] so callers fall
-   back to the interpreter. *)
+(* Look up or compile.  [digest] must identify the model's content
+   exactly: the daemon passes the analysis cache's content key of the
+   source, which covers the source text, the codegen level and the
+   cache version.  Raises like [compile] for model / parameter errors;
+   "not compilable" is an [Error] so callers fall back to the
+   interpreter. *)
 let get c ~digest ?arch ?(mode = Inclusive) ~model ~fname ~sweep ~fixed () :
     (prog, string) result =
   let k = key ~digest ?arch ~mode ~fname ~sweep ~fixed () in
-  Mutex.lock c.c_mutex;
-  let cached =
-    match Hashtbl.find_opt c.c_mem k with
-    | Some e ->
-        c.c_tick <- c.c_tick + 1;
-        e.ce_used <- c.c_tick;
-        c.c_hits <- c.c_hits + 1;
-        Some (Ok e.ce_prog)
-    | None -> (
-        match Hashtbl.find_opt c.c_neg k with
-        | Some reason ->
-            c.c_fallbacks <- c.c_fallbacks + 1;
-            Some (Error reason)
-        | None -> None)
-  in
-  Mutex.unlock c.c_mutex;
-  match cached with
-  | Some r -> r
+  let find t = Store.find t ~faults:None ~retries:0 k in
+  let add t v = Store.add t ~faults:None ~retries:0 k v in
+  match find c.c_rejected with
+  | Some (reason, _) -> Error reason
   | None -> (
-      let from_disk =
-        match c.c_dir with None -> None | Some dir -> load_disk dir k
-      in
-      match from_disk with
-      | Some p ->
-          Mutex.lock c.c_mutex;
-          c.c_hits <- c.c_hits + 1;
-          c.c_disk_hits <- c.c_disk_hits + 1;
-          c.c_tick <- c.c_tick + 1;
-          Hashtbl.replace c.c_mem k { ce_prog = p; ce_used = c.c_tick };
-          evict_excess c;
-          Mutex.unlock c.c_mutex;
-          Ok p
+      match find c.c_progs with
+      | Some (p, _) -> Ok p
       | None -> (
           match compile ?arch ~mode model ~fname ~sweep ~fixed with
           | p ->
-              insert c k p;
-              Mutex.lock c.c_mutex;
-              c.c_misses <- c.c_misses + 1;
-              Mutex.unlock c.c_mutex;
-              (match c.c_dir with
-              | Some dir -> store_disk dir k p
-              | None -> ());
+              add c.c_progs p;
               Ok p
           | exception Not_compilable reason ->
-              Mutex.lock c.c_mutex;
-              c.c_fallbacks <- c.c_fallbacks + 1;
-              Hashtbl.replace c.c_neg k reason;
-              Mutex.unlock c.c_mutex;
+              add c.c_rejected reason;
               Error reason))

@@ -24,9 +24,8 @@
     back to the interpreter.
 
     Programs contain only plain data and are cacheable: {!cache}
-    provides a thread-safe memory LRU plus an optional checksummed
-    disk tier keyed by (model digest, arch, fname, sweep set, fixed
-    values, mode). *)
+    keys them by (model digest, arch, fname, sweep set, fixed values,
+    mode). *)
 
 exception Not_compilable of string
 (** The model has no closed form under the requested sweep set (or
@@ -116,22 +115,15 @@ val seconds : prog -> float array -> float
 (** {1 The program cache} *)
 
 type cache
-(** Thread-safe: a memory LRU always, plus a checksummed disk tier
-    ([<key>.prog] files: magic + MD5 + marshalled program, published
-    crash-consistently through {!Batch.durable_publish} under the
-    shared directory lock) when [dir] is given — it can share a
-    directory with the {!Batch} analysis cache.  "Not compilable"
-    verdicts are negatively cached in memory so sweeps over
-    uncompilable models don't re-attempt compilation per binding. *)
-
-val recovery_entry : string * string
-(** The prog tier's [(suffix, magic)] pair ([".prog"], its file magic)
-    for {!Batch.recover_dir}'s integrity scan. *)
+(** Thread-safe: a {!Store} tier of programs (memory LRU plus, when
+    [dir] is given, [<key>.prog] entries — it can share a directory
+    with the {!Batch} analysis cache), and a memory-only tier of "not
+    compilable" verdicts, so sweeps over uncompilable models don't
+    re-attempt compilation per binding. *)
 
 val create_cache : ?capacity:int -> ?dir:string -> unit -> cache
-(** An existing [dir] gets the {!Batch.recover_dir} startup scan over
-    the prog tier now: entries a crash left torn are quarantined
-    before anything can load them. *)
+(** [capacity] (default 256) bounds each tier's memory LRU.  Opening an
+    existing [dir] runs {!Store.create}'s startup housekeeping. *)
 
 type stats = {
   hits : int;  (** served from a tier without compiling *)
@@ -154,9 +146,11 @@ val key :
   fixed:(string * int) list ->
   unit ->
   string
-(** The content key (hex digest).  [digest] identifies the model
-    content; the arch participates via its name and rendered
-    description. *)
+(** The content key (hex digest).  [digest] must identify the model
+    content exactly — the daemon passes the source's {!Batch.key}; a
+    digest of the emitted Python would not do, since Python renders
+    every deferred count as [(0)].  The arch participates via its name
+    and rendered description. *)
 
 val get :
   cache ->

@@ -881,14 +881,17 @@ let handle_analyze t ~limits ~name ~source =
 
 (* Evaluate through the compiled-program cache: one compilation per
    (model, function, parameter-name set), so a sweep's bindings all
-   re-run the same program.  Models the partial evaluator rejects are
-   answered by the interpreter; results agree to float tolerance and
-   the response wire format is identical either way. *)
-let eval_counts t (a : Batch.analysis) ~fname ~params =
+   re-run the same program.  Programs are keyed by the source's content
+   key: the emitted Python renders deferred counts as [(0)], so two
+   sources can share Python but not counts.  Models the partial
+   evaluator rejects are answered by the interpreter; results agree to
+   float tolerance and the response wire format is identical either
+   way. *)
+let eval_counts t (a : Batch.analysis) ~source ~fname ~params =
   let sweep = List.sort_uniq compare (List.map fst params) in
   match
     Model_compile.get t.t_compile
-      ~digest:(Digest.string a.a_python)
+      ~digest:(Batch.key ~level:t.t_cfg.cfg_level source)
       ~model:a.a_model ~fname ~sweep ~fixed:[] ()
   with
   | Ok prog -> Model_compile.eval prog ~env:params
@@ -902,7 +905,7 @@ let handle_eval t ~limits ~name ~source ~fname ~params =
          it the same budget the analysis ran under *)
       match
         Limits.Budget.install (Limits.budget limits) (fun () ->
-            eval_counts t a ~fname ~params)
+            eval_counts t a ~source ~fname ~params)
       with
       | counts ->
           let buf = Buffer.create 256 in

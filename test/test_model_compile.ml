@@ -23,7 +23,8 @@
      models;
    - the daemon: eval served through the compile cache, with
      compile-hits/compile-misses surfaced in stats (satellite of the
-     serve suite; test_serve.ml itself is unchanged). *)
+     serve suite; test_serve.ml itself is unchanged), and programs
+     keyed by source, not by the lossy emitted Python. *)
 
 open Mira_core
 module Corpus = Mira_corpus.Corpus
@@ -451,6 +452,50 @@ let test_serve_compile_counters () =
       Alcotest.(check string)
         "compile-hits" "2" (stats_field st "compile-hits"))
 
+(* Two sources that differ only inside a deferred (enumerated) count
+   emit the same Python, which renders such counts as (0): a program
+   cache keyed by the Python would answer the second source with the
+   first one's counts. *)
+let deferred_source j =
+  Printf.sprintf
+    "void f(int n) { double x = 0.0; for (int i = 0; i < 100; i += 2) { \
+     for (int j = %d; j < i; j++) { x = x + 1.0; } } }"
+    j
+
+let test_serve_distinct_deferred_sources () =
+  with_server (fun socket ->
+      let eval source =
+        let r =
+          request socket
+            (Serve.Eval
+               {
+                 ev_name = "k.mc";
+                 ev_source = source;
+                 ev_function = "f";
+                 ev_params = [];
+                 ev_budget = Serve.no_budget;
+               })
+        in
+        Alcotest.(check string) "eval ok" "ok" r.Serve.rs_status;
+        r
+      in
+      ignore (eval (deferred_source 0));
+      let b = deferred_source 1 in
+      let r = eval b in
+      let counts =
+        Model_eval.eval
+          (Mira.analyze ~source_name:"k.mc" b).model
+          ~fname:"f" ~env:[]
+      in
+      List.iter
+        (fun (field, expected) ->
+          match Serve.field r field with
+          | None -> Alcotest.failf "eval response lacks %s" field
+          | Some v ->
+              check_close ("second source's " ^ field) (float_of_string v)
+                expected)
+        [ ("fpi", Model_eval.fpi counts); ("total", Model_eval.total counts) ])
+
 let () =
   Alcotest.run "model-compile"
     [
@@ -476,5 +521,8 @@ let () =
         [
           Alcotest.test_case "eval verbs surface compile counters" `Quick
             test_serve_compile_counters;
+          Alcotest.test_case
+            "sources differing in a deferred count get their own counts"
+            `Quick test_serve_distinct_deferred_sources;
         ] );
     ]
