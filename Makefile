@@ -1,4 +1,4 @@
-.PHONY: build test ci ci-seeds chaos-smoke serve-smoke cluster-smoke watch-smoke perfbench-smoke bench bench-json bench-serve bench-serve-smoke bench-eval bench-eval-smoke bench-watch bench-watch-smoke clean
+.PHONY: build test ci ci-seeds chaos-smoke serve-smoke cluster-smoke watch-smoke perfbench-smoke bench clean
 
 build:
 	dune build @all
@@ -13,21 +13,20 @@ test:
 # harness reads MIRA_FAULT_SEED.  --force re-executes tests even when
 # dune has them cached, so the pinned seeds really run.  The hard
 # timeout turns any nontermination regression (a budget that stopped
-# firing, a stuck worker) into a CI failure instead of a hang.
-CI_TIMEOUT ?= 600
+# firing, a stuck worker) into a CI failure instead of a hang.  The
+# last step runs the paper-table harness (bench/main.ml) in its fast
+# mode, so every table, figure and the bechamel suite still execute.
 ci:
 	dune build @all
 	MIRA_FUZZ_SEED=20260806 QCHECK_SEED=20260806 MIRA_FAULT_SEED=20260806 \
-	  timeout --kill-after=30 $(CI_TIMEOUT) dune runtest --force
+	  timeout --kill-after=30 600 dune runtest --force
 	$(MAKE) ci-seeds
 	$(MAKE) chaos-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) watch-smoke
-	$(MAKE) bench-serve-smoke
-	$(MAKE) bench-eval-smoke
-	$(MAKE) bench-watch-smoke
 	$(MAKE) perfbench-smoke
+	timeout --kill-after=10 120 dune exec bench/main.exe -- --fast
 
 # Seed sweep: the fault-injection and cluster harnesses re-run under
 # several pinned MIRA_FAULT_SEED values.  Each seed draws a different
@@ -36,12 +35,10 @@ ci:
 # schedule — exactly-once dispatch, byte-identical recovery — get
 # checked under three.  Assertions tied to the default schedule's
 # specifics are themselves seed-gated in the tests.
-CI_SEEDS ?= 20260806 7 424242
-SEEDS_TIMEOUT ?= 300
 ci-seeds: build
-	for s in $(CI_SEEDS); do \
+	for s in 20260806 7 424242; do \
 	  echo "== MIRA_FAULT_SEED=$$s"; \
-	  MIRA_FAULT_SEED=$$s timeout --kill-after=30 $(SEEDS_TIMEOUT) \
+	  MIRA_FAULT_SEED=$$s timeout --kill-after=30 300 \
 	    sh -ec 'cd _build/default/test \
 	      && ./test_faults.exe -e && ./test_cluster.exe -e' || exit 1; \
 	done
@@ -52,9 +49,8 @@ ci-seeds: build
 # mid-sweep with exactly-once byte-identical results, circuit breakers
 # must reopen through their half-open probes, and a lost endpoint must
 # rejoin a running sweep when its daemon comes back.
-CHAOS_TIMEOUT ?= 300
 chaos-smoke: build
-	MIRA_FAULT_SEED=20260806 timeout --kill-after=30 $(CHAOS_TIMEOUT) \
+	MIRA_FAULT_SEED=20260806 timeout --kill-after=30 300 \
 	  sh -ec 'cd _build/default/test && ./test_supervise.exe -e'
 
 # Eval-service smoke: boot two real daemons — one on a Unix socket,
@@ -63,9 +59,8 @@ chaos-smoke: build
 # across both, then SIGTERM each and require clean drained exits — all
 # under a hard timeout so a wedged daemon fails CI instead of hanging
 # it.
-SERVE_TIMEOUT ?= 60
 serve-smoke: build
-	timeout --kill-after=10 $(SERVE_TIMEOUT) sh -ec ' \
+	timeout --kill-after=10 60 sh -ec ' \
 	  exe=./_build/default/bin/mira.exe; \
 	  dir=$$(mktemp -d); trap "rm -rf $$dir" EXIT; \
 	  sock=$$dir/mira.sock; \
@@ -105,9 +100,8 @@ serve-smoke: build
 # --shard runs into separate caches, "mira cache merge" unions them,
 # and a full batch against the merged cache must run entirely warm
 # ("0 analyzed").  Survivors must drain cleanly on SIGTERM.
-CLUSTER_TIMEOUT ?= 120
 cluster-smoke: build
-	timeout --kill-after=10 $(CLUSTER_TIMEOUT) sh -ec ' \
+	timeout --kill-after=10 120 sh -ec ' \
 	  exe=./_build/default/bin/mira.exe; \
 	  dir=$$(mktemp -d); trap "rm -rf $$dir" EXIT; \
 	  printf "cluster-smoke-secret\n" > $$dir/secret; \
@@ -158,9 +152,8 @@ cluster-smoke: build
 # with session counters visible on stats.  CLI path: the same edit
 # through `mira watch --check`, whose cold-vs-warm gate exits 3 on any
 # byte divergence between the incremental model and a cold analysis.
-WATCH_TIMEOUT ?= 60
 watch-smoke: build
-	timeout --kill-after=10 $(WATCH_TIMEOUT) sh -ec ' \
+	timeout --kill-after=10 60 sh -ec ' \
 	  exe=./_build/default/bin/mira.exe; \
 	  dir=$$(mktemp -d); trap "rm -rf $$dir" EXIT; \
 	  sock=$$dir/mira.sock; \
@@ -218,57 +211,10 @@ perfbench-smoke: build
 	  || exit 1; \
 	done
 
+# The paper's tables and figures (section IV) plus the bechamel
+# static-vs-dynamic cost suite; drop --fast for the larger workloads.
 bench:
 	dune exec bench/main.exe -- --fast
-
-# Serving-layer benchmark: boots an in-process daemon and drives the
-# ping/eval/analyze mix at several connection counts, plus the
-# max-idle-connections probe.  Writes its numbers to
-# BENCH_serve.run.json; the checked-in BENCH_serve.json is the curated
-# before/after record from the event-loop migration and is not
-# overwritten here.
-bench-serve: build
-	dune exec bin/mira.exe -- bench-serve \
-	  --connections 8 --connections 256 --connections 2000 \
-	  --probe --json BENCH_serve.run.json
-
-# CI smoke: a 0.3 s run at 2 connections whose only assertion is that
-# the bench harness itself still works (exit 0, zero errors).
-bench-serve-smoke: build
-	timeout --kill-after=10 60 dune exec bin/mira.exe -- bench-serve --smoke
-
-# Eval-layer benchmark: one-shot interpretation vs interpreter plan vs
-# the compiled register program on five corpus kernels, every target
-# cross-checked against the interpreter before timing.  Writes
-# BENCH_eval.json — the number the "compiled model evaluation" work is
-# held to (>= 50x sweep throughput over interpreted evaluation).
-bench-eval: build
-	dune exec bin/mira.exe -- bench-eval --json BENCH_eval.json
-
-# CI smoke: tiny sweeps and timing windows; asserts the harness runs
-# and that compiled == interpreted on the sampled points (the harness
-# fails loudly on divergence), without turning timings into thresholds.
-bench-eval-smoke: build
-	timeout --kill-after=10 120 dune exec bin/mira.exe -- bench-eval --smoke
-
-# Watch-mode benchmark: median edit-to-updated-model latency through a
-# warm session vs the cold whole-corpus re-batch each edit used to
-# cost, every warm model byte-checked against cold before timing.
-# Writes BENCH_watch.json — the number the watch-mode work is held to
-# (>= 3x; measured around two orders of magnitude).
-bench-watch: build
-	dune exec bin/mira.exe -- bench-watch --json BENCH_watch.json
-
-# CI smoke: a few edits and cold samples; asserts the harness runs and
-# that warm == cold on the sampled edits (the harness fails loudly on
-# divergence), without turning timings into thresholds.
-bench-watch-smoke: build
-	timeout --kill-after=10 120 dune exec bin/mira.exe -- bench-watch --smoke
-
-# Timing-only run (batch scaling + incremental reanalysis) that
-# records its numbers in BENCH_batch.json for regression tracking.
-bench-json:
-	dune exec bench/main.exe -- --json
 
 clean:
 	dune clean

@@ -4,12 +4,9 @@
    (section IV-D1).
 
    Run with: dune exec bench/main.exe
-   Pass --fast to shrink the dynamic workloads.
-   Pass --json to run only the batch/incremental timing sections and
-   write their numbers to BENCH_batch.json (make bench-json). *)
+   Pass --fast to shrink the dynamic workloads. *)
 
 let fast = Array.exists (( = ) "--fast") Sys.argv
-let json = Array.exists (( = ) "--json") Sys.argv
 
 let sci = Mira_core.Report.scientific
 
@@ -433,227 +430,6 @@ let cache_behavior () =
     "  (streaming kernels miss once per line; the blocked working set of\n\
     \   dgemm at this size largely fits, matching the roofline verdicts)"
 
-(* ---------- batch analysis: parallel scaling and memoization ---------- *)
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
-let batch_timings () =
-  header "Batch analysis: whole-corpus wall time (serial vs pool vs cache)";
-  let sources = Mira_corpus.Corpus.all in
-  let run ?cache ~jobs () = Mira_core.Mira.analyze_batch ~jobs ?cache sources in
-  (* one throwaway pass so allocator/caches inside the compiler are in
-     steady state before anything is timed *)
-  ignore (run ~jobs:1 ());
-  let (_, s1), t_serial = time (fun () -> run ~jobs:1 ()) in
-  let (_, s4), t_par = time (fun () -> run ~jobs:4 ()) in
-  let cache = Mira_core.Batch.create_cache () in
-  let (_, sc), t_cold = time (fun () -> run ~cache ~jobs:4 ()) in
-  let (_, sw), t_warm = time (fun () -> run ~cache ~jobs:4 ()) in
-  let cores =
-    try Domain.recommended_domain_count () with _ -> 1
-  in
-  Printf.printf "corpus: %d programs; host offers %d core(s)\n"
-    (List.length sources) cores;
-  Printf.printf "  serial    (--jobs 1)        %8.3f s (%d analyzed)\n" t_serial
-    s1.Mira_core.Batch.st_analyzed;
-  Printf.printf
-    "  pool      (--jobs 4)        %8.3f s (%d analyzed)  %.2fx serial time\n"
-    t_par s4.Mira_core.Batch.st_analyzed (t_par /. t_serial);
-  Printf.printf "  cold cache (--jobs 4)       %8.3f s (%d analyzed)\n" t_cold
-    sc.Mira_core.Batch.st_analyzed;
-  Printf.printf
-    "  warm cache (--jobs 4)       %8.3f s (%d analyzed, %d hits)  %.1fx faster than cold\n"
-    t_warm sw.Mira_core.Batch.st_analyzed sw.Mira_core.Batch.st_mem_hits
-    (t_cold /. t_warm);
-  if cores < 4 then
-    Printf.printf
-      "  (pool speedup needs cores: this host exposes %d, so --jobs 4 \
-       timeslices)\n"
-      cores;
-  [
-    ("sources", string_of_int (List.length sources));
-    ("serial_s", Printf.sprintf "%.6f" t_serial);
-    ("pool4_s", Printf.sprintf "%.6f" t_par);
-    ("cold_cache_s", Printf.sprintf "%.6f" t_cold);
-    ("warm_cache_s", Printf.sprintf "%.6f" t_warm);
-    ("warm_mem_hits", string_of_int sw.Mira_core.Batch.st_mem_hits);
-    ("warm_speedup_vs_cold", Printf.sprintf "%.2f" (t_cold /. t_warm));
-  ]
-
-(* ---------- incremental reanalysis: one-function edit ---------- *)
-
-let replace_once ~sub ~by s =
-  let ls = String.length s and lsub = String.length sub in
-  let rec find i =
-    if i + lsub > ls then invalid_arg "replace_once: substring not found"
-    else if String.sub s i lsub = sub then i
-    else find (i + 1)
-  in
-  let i = find 0 in
-  String.sub s 0 i ^ by ^ String.sub s (i + lsub) (ls - i - lsub)
-
-(* Time a one-function, line-count-preserving edit of [src] three
-   ways: cold (no cache), function-warm (the pre-edit analysis is in
-   the function tier, so only the edited function is re-analyzed) and
-   file-warm (the edited text itself is already in the file tier). *)
-let incr_subject ~label ~src ~edited =
-  let reps = if fast then 5 else 20 in
-  let run ?cache s = Mira_core.Mira.analyze_batch ?cache [ (label, s) ] in
-  ignore (run edited);
-  let (), t_cold =
-    time (fun () -> for _ = 1 to reps do ignore (run edited) done)
-  in
-  let fcache = Mira_core.Batch.create_cache () in
-  ignore (run ~cache:fcache edited);
-  let (), t_file =
-    time (fun () -> for _ = 1 to reps do ignore (run ~cache:fcache edited) done)
-  in
-  (* one freshly seeded cache per rep — an edited run would otherwise
-     warm the file tier and turn the next rep into a file hit.  Seed
-     inside the loop (not as a pre-built list) so only one model is
-     live at a time, and collect the seeding garbage before starting
-     the clock: keeping [reps] full models live would bill the timed
-     runs for major-GC work the cold tier never pays. *)
-  let last = ref None in
-  let t_fn =
-    let acc = ref 0.0 in
-    for _ = 1 to reps do
-      let c = Mira_core.Batch.create_cache () in
-      ignore (run ~cache:c src);
-      Gc.full_major ();
-      let (), dt =
-        time (fun () ->
-            let _, s = run ~cache:c edited in
-            last := Some s)
-      in
-      acc := !acc +. dt
-    done;
-    !acc
-  in
-  let s = Option.get !last in
-  let per t = t /. float_of_int reps *. 1e3 in
-  let open Mira_core.Batch in
-  Printf.printf "%s: %d functions; %d reps per tier\n" label
-    (s.st_fn_mem_hits + s.st_fn_analyzed) reps;
-  Printf.printf "  cold (no cache)             %8.3f ms/run\n" (per t_cold);
-  Printf.printf
-    "  function-warm (edit)        %8.3f ms/run (%d hits + %d re-analyzed)  \
-     %.1fx faster than cold\n"
-    (per t_fn) s.st_fn_mem_hits s.st_fn_analyzed (t_cold /. t_fn);
-  Printf.printf
-    "  file-warm (unchanged)       %8.3f ms/run  %.1fx faster than cold\n"
-    (per t_file) (t_cold /. t_file);
-  [
-    ("functions", string_of_int (s.st_fn_mem_hits + s.st_fn_analyzed));
-    ("reps", string_of_int reps);
-    ("cold_ms", Printf.sprintf "%.4f" (per t_cold));
-    ("function_warm_ms", Printf.sprintf "%.4f" (per t_fn));
-    ("file_warm_ms", Printf.sprintf "%.4f" (per t_file));
-    ("fn_hits", string_of_int s.st_fn_mem_hits);
-    ("fn_reanalyzed", string_of_int s.st_fn_analyzed);
-    ("function_warm_speedup_vs_cold", Printf.sprintf "%.2f" (t_cold /. t_fn));
-    ("file_warm_speedup_vs_cold", Printf.sprintf "%.2f" (t_cold /. t_file));
-  ]
-
-let incremental_timings () =
-  header "Incremental reanalysis: one-function edit";
-  (* The target scenario: a large translation unit of many analyzable
-     kernels where one body changes.  Dependent inner bounds keep each
-     function's polyhedral counting honest. *)
-  let kernel_fn i =
-    Printf.sprintf
-      "double k%d(double *a, double *b, int n) {\n\
-      \  double s = 0.0;\n\
-      \  for (int i = 0; i < n; i++) {\n\
-      \    for (int j = i; j < n; j++) {\n\
-      \      for (int l = j; l < n; l++) {\n\
-      \        s += a[i] * b[l] + %d.0;\n\
-      \        s += a[l] * b[j];\n\
-      \      }\n\
-      \    }\n\
-      \  }\n\
-      \  return s;\n\
-       }\n"
-      i i
-  in
-  let multi = String.concat "\n" (List.init 12 kernel_fn) in
-  let multi_fields =
-    incr_subject ~label:"kernels12.mc" ~src:multi
-      ~edited:
-        (replace_once ~sub:"b[l] + 5.0" ~by:"b[l] - 5.0" multi)
-  in
-  (* And the hard case: miniFE's `assemble` emits a model two orders
-     of magnitude larger than the rest of the file put together, and
-     re-emitting the assembled model bounds what any cache can save. *)
-  let minife = Mira_corpus.Corpus.minife in
-  let minife_fields =
-    incr_subject ~label:"minife.mc" ~src:minife
-      ~edited:
-        (replace_once ~sub:"alpha * x[i] + beta * y[i]"
-           ~by:"alpha * x[i] - beta * y[i]" minife)
-  in
-  (multi_fields, minife_fields)
-
-let write_bench_json sections =
-  let obj fields =
-    "  {\n"
-    ^ String.concat ",\n"
-        (List.map (fun (k, v) -> Printf.sprintf "    \"%s\": %s" k v) fields)
-    ^ "\n  }"
-  in
-  let body =
-    "{\n"
-    ^ String.concat ",\n"
-        (List.map (fun (name, fields) -> Printf.sprintf "  \"%s\":\n%s" name (obj fields)) sections)
-    ^ "\n}\n"
-  in
-  let oc = open_out "BENCH_batch.json" in
-  output_string oc body;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_batch.json\n"
-
-(* ---------- evaluation tiers: interpreted vs plan vs compiled ---------- *)
-
-(* The headline eval-layer numbers live in BENCH_eval.json (`make
-   bench-eval`); this section prints a quick in-context comparison so
-   one `make bench` run shows where sweep throughput comes from. *)
-let eval_tiers () =
-  header "Evaluation tiers: one-shot interpreter vs plan vs compiled program";
-  let min_time_s = if fast then 0.05 else 0.2 in
-  let hi = if fast then 500 else 5_000 in
-  Printf.printf "  %-22s %14s %12s %12s %10s\n" "kernel" "interpreted"
-    "planned" "compiled" "evals/s";
-  List.iter
-    (fun (name, fname, fixed) ->
-      match Mira_corpus.Corpus.find name with
-      | None -> ()
-      | Some src ->
-          let r =
-            Mira_core.Bench_eval.run ~min_time_s
-              {
-                Mira_core.Bench_eval.tg_label = name;
-                tg_source_name = name;
-                tg_source = src;
-                tg_fname = fname;
-                tg_sweep = "n";
-                tg_lo = 2;
-                tg_hi = hi;
-                tg_fixed = fixed;
-              }
-          in
-          Printf.printf
-            "  %-22s %11.1f ns %9.1f ns %9.2f ns %9.1fM\n" fname
-            r.Mira_core.Bench_eval.br_legacy_ns r.br_plan_ns r.br_compiled_ns
-            (r.br_compiled_eps /. 1e6))
-    [
-      ("stream", "stream_triad", []);
-      ("dgemm", "dgemm", []);
-      ("jacobi2d", "jacobi2d", [ ("tsteps", 10) ]);
-    ]
-
 (* ---------- bechamel timing suite ---------- *)
 
 let timing_suite () =
@@ -735,36 +511,18 @@ let timing_suite () =
     (List.sort compare rows)
 
 let () =
-  if json then begin
-    (* timing-only mode: just the batch/incremental numbers, persisted
-       for regression tracking *)
-    let batch = batch_timings () in
-    let incr, incr_minife = incremental_timings () in
-    write_bench_json
-      [
-        ("batch", batch);
-        ("incremental", incr);
-        ("incremental_minife", incr_minife);
-      ];
-    print_endline "\nbench: done"
-  end
-  else begin
-    table1 ();
-    figures23 ();
-    figure4 ();
-    figure5 ();
-    table2_figure6 ();
-    table3 ();
-    table4 ();
-    table5 ();
-    intensity ();
-    ablation_pbound ();
-    ablation_vectorize ();
-    prediction_extension ();
-    cache_behavior ();
-    eval_tiers ();
-    ignore (batch_timings ());
-    ignore (incremental_timings ());
-    timing_suite ();
-    print_endline "\nbench: done"
-  end
+  table1 ();
+  figures23 ();
+  figure4 ();
+  figure5 ();
+  table2_figure6 ();
+  table3 ();
+  table4 ();
+  table5 ();
+  intensity ();
+  ablation_pbound ();
+  ablation_vectorize ();
+  prediction_extension ();
+  cache_behavior ();
+  timing_suite ();
+  print_endline "\nbench: done"

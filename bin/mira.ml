@@ -1763,7 +1763,7 @@ let eval_sweep_cmd =
 let supervise_cmd =
   let run endpoints serve_args probe_interval_ms wedge_timeout_ms
       backoff_base_ms backoff_max_ms storm_failures storm_window_s grace_ms
-      seed =
+      seed secret_file =
     handle_errors (fun () ->
         (* the supervisor probes each child at its configured endpoint, so
            a tcp:HOST:0 child would advertise a port only on its own
@@ -1778,6 +1778,22 @@ let supervise_cmd =
                 exit 124
             | _ -> ())
           endpoints;
+        (* a secret that reaches the children but not the supervisor
+           leaves its probes unsealed: a tcp child rejects every one *)
+        if List.exists (String.starts_with ~prefix:"--auth") serve_args
+        then begin
+          Printf.eprintf
+            "error: give --auth-secret-file to supervise itself, not via \
+             --serve-arg: supervise forwards it to every child and seals \
+             its health probes with it\n";
+          exit 124
+        end;
+        let auth_secret = Opts.load_auth_secret secret_file in
+        let secret_args =
+          match secret_file with
+          | Some path -> [ "--auth-secret-file"; path ]
+          | None -> []
+        in
         let exe = Sys.executable_name in
         let children =
           List.mapi
@@ -1786,9 +1802,9 @@ let supervise_cmd =
                 Mira_core.Supervisor.cs_name = Printf.sprintf "serve-%d" i;
                 cs_argv =
                   Array.of_list
-                    (exe :: "serve" :: "--endpoint"
-                    :: Mira_core.Endpoint.to_string ep
-                    :: serve_args);
+                    ((exe :: "serve" :: "--endpoint"
+                     :: Mira_core.Endpoint.to_string ep :: secret_args)
+                    @ serve_args);
                 cs_endpoint = ep;
               })
             endpoints
@@ -1804,6 +1820,7 @@ let supervise_cmd =
             sp_storm_window_s = storm_window_s;
             sp_grace_ms = max 0 grace_ms;
             sp_seed = seed;
+            sp_auth_secret = auth_secret;
           }
         in
         let sup = Mira_core.Supervisor.create cfg in
@@ -1906,11 +1923,13 @@ let supervise_cmd =
           per-child restart-storm breaker (exit 3), and SIGTERM fan-out \
           drain on shutdown.  Pair with $(b,mira eval-sweep) against the \
           same endpoints: a daemon killed mid-sweep is restarted here and \
-          rejoins the running sweep on the client side.")
+          rejoins the running sweep on the client side.  With \
+          $(b,--auth-secret-file) every child gets the secret and every \
+          $(i,health) probe is sealed with it.")
     Term.(
       const run $ Opts.endpoints_term $ serve_args $ probe_interval_ms
       $ wedge_timeout_ms $ backoff_base_ms $ backoff_max_ms $ storm_failures
-      $ storm_window_s $ grace_ms $ seed)
+      $ storm_window_s $ grace_ms $ seed $ Opts.auth_secret_file)
 
 (* ---------- corpus-dump ---------- *)
 
@@ -1927,232 +1946,6 @@ let corpus_dump_cmd =
   Cmd.v
     (Cmd.info "corpus-dump" ~doc:"Write the bundled mini-C corpus to disk.")
     Term.(const run $ dir)
-
-(* ---------- bench-serve ---------- *)
-
-let bench_serve_cmd =
-  let run endpoint connections pipeline duration_s mix_str probe probe_cap
-      json_path label smoke =
-    handle_errors (fun () ->
-        let mix =
-          match Mira_core.Bench_serve.parse_mix mix_str with
-          | Ok m -> m
-          | Error m ->
-              Printf.eprintf "error: %s\n" m;
-              exit exit_internal
-        in
-        (* smoke: a small fixed workload whose only assertion is that
-           the harness completes and emits valid JSON — CI keeps the
-           harness alive without turning timings into thresholds *)
-        let connections =
-          if smoke then [ 2 ]
-          else if connections = [] then [ 8 ]
-          else connections
-        in
-        let pipeline = max 1 (if smoke then 2 else pipeline) in
-        let duration_s = if smoke then 0.3 else duration_s in
-        let probe = probe && not smoke in
-        let json_path = if smoke && json_path = None then Some "-" else json_path in
-        let with_daemon f =
-          match endpoint with
-          | Some ep -> f ep
-          | None ->
-              (* no endpoint: measure a fresh in-process daemon with
-                 admission opened up — the generator, not the shed
-                 limit, should be what saturates *)
-              let sock =
-                Filename.concat
-                  (Filename.get_temp_dir_name ())
-                  (Printf.sprintf "mira-bench-%d.sock" (Unix.getpid ()))
-              in
-              (try Sys.remove sock with Sys_error _ -> ());
-              let cfg =
-                {
-                  (Mira_core.Serve.default_config ~socket:sock) with
-                  cfg_max_inflight = 1_000_000;
-                  cfg_max_pipeline = pipeline;
-                  cfg_idle_timeout_ms = 60_000;
-                }
-              in
-              let server = Mira_core.Serve.create cfg in
-              let th =
-                Thread.create
-                  (fun () -> ignore (Mira_core.Serve.serve server))
-                  ()
-              in
-              Fun.protect
-                ~finally:(fun () ->
-                  Mira_core.Serve.stop server;
-                  Thread.join th;
-                  try Sys.remove sock with Sys_error _ -> ())
-                (fun () ->
-                  let ep = Mira_core.Endpoint.Unix_sock sock in
-                  if not (Mira_core.Client.wait_ready ep) then begin
-                    Printf.eprintf "error: in-process daemon not ready\n";
-                    exit exit_internal
-                  end;
-                  f ep)
-        in
-        with_daemon (fun ep ->
-            let runs =
-              List.map
-                (fun conns ->
-                  let r =
-                    Mira_core.Bench_serve.run ~endpoint:ep ~connections:conns
-                      ~pipeline ~duration_s ~mix
-                  in
-                  Printf.eprintf
-                    "bench-serve: %4d conns x %d deep, %.1fs: %d ok, %d \
-                     errors, %d dropped, %.0f req/s, p50 %.2fms, p99 %.2fms\n\
-                     %!"
-                    r.Mira_core.Bench_serve.bs_connections r.bs_pipeline
-                    r.bs_elapsed_s r.bs_ok r.bs_errors r.bs_dropped_conns
-                    r.bs_throughput_rps r.bs_p50_ms r.bs_p99_ms;
-                  r)
-                connections
-            in
-            let probe_result =
-              if not probe then None
-              else begin
-                let cap =
-                  if probe_cap > 0 then probe_cap
-                  else
-                    (* both ends of every probe connection may live in
-                       this process: stay clear of RLIMIT_NOFILE *)
-                    max 100
-                      (min 8000 ((Mira_core.Poller.rlimit_nofile () - 256) / 2))
-                in
-                let n, reason =
-                  Mira_core.Bench_serve.max_idle_probe ~endpoint:ep ~cap ()
-                in
-                Printf.eprintf "bench-serve: max idle connections %d (%s)\n%!"
-                  n reason;
-                Some (n, reason)
-              end
-            in
-            match json_path with
-            | None -> ()
-            | Some path ->
-                let b = Buffer.create 1024 in
-                Buffer.add_string b "{\n";
-                Buffer.add_string b "  \"bench\": \"serve\",\n";
-                Printf.bprintf b "  \"label\": \"%s\",\n" label;
-                Printf.bprintf b "  \"mix\": \"%s\",\n"
-                  (Mira_core.Bench_serve.mix_to_string mix);
-                Printf.bprintf b "  \"duration_s\": %.3f,\n" duration_s;
-                Buffer.add_string b "  \"runs\": [\n";
-                List.iteri
-                  (fun i (r : Mira_core.Bench_serve.run) ->
-                    Printf.bprintf b
-                      "    { \"connections\": %d, \"pipeline\": %d, \
-                       \"elapsed_s\": %.3f, \"ok\": %d, \"errors\": %d, \
-                       \"dropped_conns\": %d, \"throughput_rps\": %.1f, \
-                       \"p50_ms\": %.3f, \"p99_ms\": %.3f }%s\n"
-                      r.bs_connections r.bs_pipeline r.bs_elapsed_s r.bs_ok
-                      r.bs_errors r.bs_dropped_conns r.bs_throughput_rps
-                      r.bs_p50_ms r.bs_p99_ms
-                      (if i = List.length runs - 1 then "" else ","))
-                  runs;
-                Buffer.add_string b "  ]";
-                (match probe_result with
-                | None -> ()
-                | Some (n, reason) ->
-                    Printf.bprintf b
-                      ",\n  \"max_idle_connections\": %d,\n\
-                      \  \"max_idle_stop_reason\": \"%s\"" n reason);
-                Buffer.add_string b "\n}\n";
-                if path = "-" then print_string (Buffer.contents b)
-                else begin
-                  let oc = open_out path in
-                  output_string oc (Buffer.contents b);
-                  close_out oc;
-                  Printf.eprintf "bench-serve: wrote %s\n" path
-                end))
-  in
-  let endpoint =
-    Arg.(
-      value
-      & opt (some Opts.endpoint_conv) None
-      & info [ "e"; "endpoint" ] ~docv:"ENDPOINT"
-          ~doc:
-            "Daemon to load-test.  Omitted: boot a fresh in-process daemon \
-             (admission opened up) and measure that.")
-  in
-  let connections =
-    Arg.(
-      value & opt_all int []
-      & info [ "connections" ] ~docv:"N"
-          ~doc:"Concurrent connections (repeatable: one run per count).")
-  in
-  let pipeline =
-    Arg.(
-      value & opt int 8
-      & info [ "pipeline" ] ~docv:"K"
-          ~doc:"Tagged requests kept in flight per connection.")
-  in
-  let duration_s =
-    Arg.(
-      value & opt float 3.0
-      & info [ "duration-s" ] ~docv:"S" ~doc:"Measured load per run.")
-  in
-  let mix =
-    Arg.(
-      value
-      & opt string (Mira_core.Bench_serve.mix_to_string
-                      Mira_core.Bench_serve.default_mix)
-      & info [ "mix" ] ~docv:"SPEC"
-          ~doc:
-            "Request mix weights, e.g. $(i,ping=8,eval=1,analyze=1); \
-             requests cycle through the mix deterministically.")
-  in
-  let probe =
-    Arg.(
-      value & flag
-      & info [ "probe" ]
-          ~doc:
-            "After the runs, probe how many concurrent idle connections the \
-             daemon holds while still answering a fresh ping within 2s.")
-  in
-  let probe_cap =
-    Arg.(
-      value & opt int 0
-      & info [ "probe-cap" ] ~docv:"N"
-          ~doc:
-            "Idle-connection probe ceiling (0: derived from the fd rlimit, \
-             at most 8000).")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write results as JSON ($(i,-) for stdout).")
-  in
-  let label =
-    Arg.(
-      value & opt string "current"
-      & info [ "label" ] ~docv:"NAME"
-          ~doc:"Implementation label recorded in the JSON.")
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Small fixed workload (2 connections, 2-deep, 0.3s, no probe) \
-             that just proves the harness runs and emits valid JSON.")
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Load-test a daemon: N pipelined connections driving a \
-          deterministic ping/eval/analyze mix from one event-driven \
-          generator thread; reports throughput and p50/p99 latency, plus an \
-          optional idle-connection scale probe.  BENCH_serve.json records \
-          before/after numbers for serving-layer changes.")
-    Term.(
-      const run $ endpoint $ connections $ pipeline $ duration_s $ mix $ probe
-      $ probe_cap $ json $ label $ smoke)
 
 (* ---------- dataset ---------- *)
 
@@ -2375,225 +2168,6 @@ let dataset_cmd =
       const run $ file_arg $ fname $ sweeps $ params_arg $ archs $ level_arg
       $ fmt $ out)
 
-(* ---------- bench-eval ---------- *)
-
-let bench_eval_cmd =
-  let run smoke json_path label =
-    handle_errors (fun () ->
-        let corpus name =
-          match Mira_corpus.Corpus.find name with
-          | Some s -> s
-          | None -> failwith ("no corpus program " ^ name)
-        in
-        (* one target per kernel shape: a streaming loop, a chained
-           callee, and three nests of increasing polynomial degree *)
-        let hi full = if smoke then 100 else full in
-        let targets =
-          [
-            ("stream", "stream_triad", "n", 1, hi 100_000, []);
-            ("saxpy", "saxpy_chain", "n", 1, hi 100_000, [ ("reps", 8) ]);
-            ("dgemm", "dgemm", "n", 1, hi 10_000, []);
-            ("jacobi2d", "jacobi2d", "n", 4, hi 10_000, [ ("tsteps", 10) ]);
-            ("lu", "lu", "n", 2, hi 10_000, []);
-          ]
-        in
-        let min_time_s = if smoke then 0.02 else 0.5 in
-        let results =
-          List.map
-            (fun (name, fname, sweep, lo, hi, fixed) ->
-              let r =
-                Mira_core.Bench_eval.run ~min_time_s
-                  {
-                    Mira_core.Bench_eval.tg_label = name;
-                    tg_source_name = name;
-                    tg_source = corpus name;
-                    tg_fname = fname;
-                    tg_sweep = sweep;
-                    tg_lo = lo;
-                    tg_hi = hi;
-                    tg_fixed = fixed;
-                  }
-              in
-              Printf.eprintf
-                "bench-eval: %-10s %-12s %8.1f ns/eval interpreted, %7.1f \
-                 ns/eval planned, %6.2f ns/eval compiled (%.1fM evals/s, \
-                 %.0fx vs interpreter, %.0fx vs plan)\n\
-                 %!"
-                name fname r.Mira_core.Bench_eval.br_legacy_ns r.br_plan_ns
-                r.br_compiled_ns
-                (r.br_compiled_eps /. 1e6)
-                r.br_speedup_vs_legacy r.br_speedup_vs_plan;
-              r)
-            targets
-        in
-        let geomean f =
-          exp
-            (List.fold_left (fun a r -> a +. log (f r)) 0.0 results
-            /. float_of_int (List.length results))
-        in
-        let gm_legacy =
-          geomean (fun r -> r.Mira_core.Bench_eval.br_speedup_vs_legacy)
-        in
-        let gm_plan =
-          geomean (fun r -> r.Mira_core.Bench_eval.br_speedup_vs_plan)
-        in
-        let peak =
-          List.fold_left
-            (fun a r -> Float.max a r.Mira_core.Bench_eval.br_compiled_eps)
-            0.0 results
-        in
-        Printf.eprintf
-          "bench-eval: geomean speedup %.0fx vs interpreter, %.0fx vs \
-           plan; peak %.1fM evals/s\n\
-           %!"
-          gm_legacy gm_plan (peak /. 1e6);
-        match json_path with
-        | None -> ()
-        | Some path ->
-            let b = Buffer.create 2048 in
-            Buffer.add_string b "{\n";
-            Buffer.add_string b "  \"bench\": \"eval\",\n";
-            Printf.bprintf b "  \"label\": \"%s\",\n" label;
-            Buffer.add_string b "  \"targets\": [\n";
-            List.iteri
-              (fun i (r : Mira_core.Bench_eval.result) ->
-                Printf.bprintf b
-                  "    { \"label\": \"%s\", \"function\": \"%s\", \
-                   \"points\": %d, \"interpreted_ns_per_eval\": %.2f, \
-                   \"plan_ns_per_eval\": %.2f, \"compiled_ns_per_eval\": \
-                   %.3f, \"compiled_evals_per_s\": %.0f, \
-                   \"speedup_vs_interpreted\": %.1f, \"speedup_vs_plan\": \
-                   %.1f, \"prog_ops\": %d, \"max_rel_err\": %.3g }%s\n"
-                  r.br_label r.br_fname r.br_points r.br_legacy_ns
-                  r.br_plan_ns r.br_compiled_ns r.br_compiled_eps
-                  r.br_speedup_vs_legacy r.br_speedup_vs_plan r.br_prog_ops
-                  r.br_max_rel_err
-                  (if i = List.length results - 1 then "" else ","))
-              results;
-            Buffer.add_string b "  ],\n";
-            Printf.bprintf b "  \"geomean_speedup_vs_interpreted\": %.1f,\n"
-              gm_legacy;
-            Printf.bprintf b "  \"geomean_speedup_vs_plan\": %.1f,\n" gm_plan;
-            Printf.bprintf b "  \"peak_compiled_evals_per_s\": %.0f\n" peak;
-            Buffer.add_string b "}\n";
-            if path = "-" then print_string (Buffer.contents b)
-            else begin
-              write_file path (Buffer.contents b);
-              Printf.eprintf "bench-eval: wrote %s\n" path
-            end)
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Tiny sweeps and timing windows: proves the harness runs, \
-             cross-checks compiled against interpreted, emits valid JSON.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write results as JSON ($(i,-) for stdout).")
-  in
-  let label =
-    Arg.(
-      value & opt string "current"
-      & info [ "label" ] ~docv:"NAME"
-          ~doc:"Implementation label recorded in the JSON.")
-  in
-  Cmd.v
-    (Cmd.info "bench-eval"
-       ~doc:
-         "Benchmark the evaluation tiers on corpus kernels: one-shot \
-          interpretation vs a reusable interpreter plan vs the compiled \
-          register program (see README \"Compiled evaluation\").  Each \
-          target is cross-checked against the interpreter before timing; \
-          BENCH_eval.json records the numbers.")
-    Term.(const run $ smoke $ json $ label)
-
-(* ---------- bench-watch ---------- *)
-
-let bench_watch_cmd =
-  let run smoke json_path label level =
-    handle_errors (fun () ->
-        (* the corpus kernels are the watched background: the session
-           holds them all, and each timed edit touches only the
-           synthesized target file *)
-        let sources =
-          List.map
-            (fun (name, text) -> (name ^ ".mc", text))
-            Mira_corpus.Corpus.all
-        in
-        let edits = if smoke then 3 else 20 in
-        let cold_samples = if smoke then 2 else 5 in
-        let r =
-          Mira_core.Bench_watch.run ~level ~edits ~cold_samples ~sources ()
-        in
-        Printf.eprintf
-          "bench-watch: %d files, %d functions; one-function edit: %.2f ms \
-           warm (p90 %.2f), %d invalidated; cold re-batch: %.1f ms; \
-           speedup %.1fx\n\
-           %!"
-          r.Mira_core.Bench_watch.bw_files r.bw_functions r.bw_warm_ms
-          r.bw_warm_p90_ms r.bw_invalidated r.bw_cold_ms r.bw_speedup;
-        match json_path with
-        | None -> ()
-        | Some path ->
-            let b = Buffer.create 1024 in
-            Buffer.add_string b "{\n";
-            Buffer.add_string b "  \"bench\": \"watch\",\n";
-            Printf.bprintf b "  \"label\": \"%s\",\n" label;
-            Printf.bprintf b "  \"files\": %d,\n"
-              r.Mira_core.Bench_watch.bw_files;
-            Printf.bprintf b "  \"functions\": %d,\n" r.bw_functions;
-            Printf.bprintf b "  \"edits\": %d,\n" r.bw_edits;
-            Printf.bprintf b "  \"invalidated_per_edit\": %d,\n"
-              r.bw_invalidated;
-            Printf.bprintf b "  \"warm_ms\": %.3f,\n" r.bw_warm_ms;
-            Printf.bprintf b "  \"warm_p90_ms\": %.3f,\n" r.bw_warm_p90_ms;
-            Printf.bprintf b "  \"cold_ms\": %.3f,\n" r.bw_cold_ms;
-            Printf.bprintf b "  \"cold_samples\": %d,\n" r.bw_cold_samples;
-            Printf.bprintf b "  \"speedup\": %.1f\n" r.bw_speedup;
-            Buffer.add_string b "}\n";
-            if path = "-" then print_string (Buffer.contents b)
-            else begin
-              write_file path (Buffer.contents b);
-              Printf.eprintf "bench-watch: wrote %s\n" path
-            end)
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Few edits and cold samples: proves the harness runs, verifies \
-             byte-identity, emits valid JSON.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write results as JSON ($(i,-) for stdout).")
-  in
-  let label =
-    Arg.(
-      value & opt string "current"
-      & info [ "label" ] ~docv:"NAME"
-          ~doc:"Implementation label recorded in the JSON.")
-  in
-  Cmd.v
-    (Cmd.info "bench-watch"
-       ~doc:
-         "Benchmark watch mode on the bundled corpus: the \
-          edit-to-updated-model latency of a one-function edit through a \
-          warm session vs a cold whole-corpus re-batch.  Warm models are \
-          verified byte-identical to cold before timing; \
-          BENCH_watch.json records the numbers.")
-    Term.(const run $ smoke $ json $ label $ level_arg)
-
 (* ---------- arch ---------- *)
 
 let arch_cmd =
@@ -2624,6 +2198,5 @@ let () =
             parse_cmd; dot_cmd; compile_cmd; disasm_cmd; analyze_cmd; eval_cmd;
             predict_cmd; profile_cmd; coverage_cmd; validate_cmd; batch_cmd;
             cache_cmd; serve_cmd; supervise_cmd; client_cmd; watch_cmd;
-            eval_sweep_cmd; bench_serve_cmd; dataset_cmd; bench_eval_cmd;
-            bench_watch_cmd; corpus_dump_cmd; arch_cmd;
+            eval_sweep_cmd; dataset_cmd; corpus_dump_cmd; arch_cmd;
           ]))

@@ -227,12 +227,9 @@ type t = {
   p_io_timeout_ms : int;
   p_max_inflight : int;
   p_retries : int;
-  p_hedge_ms : int;
   p_closed : bool Atomic.t;
   p_auth_secret : string option;
   p_reopened : int Atomic.t;  (* half-open probes that closed the circuit *)
-  p_hedges : int Atomic.t;  (* hedge requests actually fired *)
-  p_hedge_wins : int Atomic.t;  (* answered by the hedge, not the primary *)
 }
 
 type breaker_stats = {
@@ -240,8 +237,6 @@ type breaker_stats = {
   bk_open : int;
   bk_half_open : int;
   bk_reopened : int;
-  bk_hedges : int;
-  bk_hedge_wins : int;
 }
 
 let trip_after = 2
@@ -253,7 +248,7 @@ let cooldown trips =
     (cooldown_base_s *. (2.0 ** float_of_int (min 8 (max 0 (trips - 1)))))
 
 let create ?(io_timeout_ms = 30_000) ?(max_inflight = 8) ?(retries = 2)
-    ?(hedge_ms = 0) ?auth_secret eps =
+    ?auth_secret eps =
   if eps = [] then invalid_arg "Client.create: no endpoints";
   {
     p_eps =
@@ -273,12 +268,9 @@ let create ?(io_timeout_ms = 30_000) ?(max_inflight = 8) ?(retries = 2)
     p_io_timeout_ms = max 0 io_timeout_ms;
     p_max_inflight = max 1 max_inflight;
     p_retries = max 0 retries;
-    p_hedge_ms = max 0 hedge_ms;
     p_closed = Atomic.make false;
     p_auth_secret = auth_secret;
     p_reopened = Atomic.make 0;
-    p_hedges = Atomic.make 0;
-    p_hedge_wins = Atomic.make 0;
   }
 
 let breaker_stats t =
@@ -297,8 +289,6 @@ let breaker_stats t =
     bk_open = !opened;
     bk_half_open = !half;
     bk_reopened = Atomic.get t.p_reopened;
-    bk_hedges = Atomic.get t.p_hedges;
-    bk_hedge_wins = Atomic.get t.p_hedge_wins;
   }
 
 let endpoints t = Array.to_list (Array.map (fun s -> s.e_ep) t.p_eps)
@@ -306,8 +296,8 @@ let endpoints t = Array.to_list (Array.map (fun s -> s.e_ep) t.p_eps)
 let idempotent = function
   | Serve.Shutdown -> false
   (* the session verbs mutate daemon state (watch/forget change the
-     watched set, reanalyze advances it): never hedge or silently
-     retry them — a duplicate would double-commit an edit *)
+     watched set, reanalyze advances it): never silently retry
+     them — a duplicate would double-commit an edit *)
   | Serve.Watch _ | Serve.Reanalyze _ | Serve.Forget _ -> false
   (* Sweep is side-effect-free on the daemon too, but this pool's
      one-response-per-request slots cannot carry its streamed frames:
@@ -421,7 +411,7 @@ let get_conn t st =
           st.e_conn <- Some c;
           c)
 
-let request_once ?deadline_ms t req =
+let request ?deadline_ms t req =
   let deadline_ms = Option.value deadline_ms ~default:t.p_io_timeout_ms in
   let attempts = if idempotent req then 1 + t.p_retries else 1 in
   let rec go attempt last_err =
@@ -456,59 +446,6 @@ let request_once ?deadline_ms t req =
               breaker_fail st;
               go (attempt + 1) (label m))
   in
-  go 0 "no endpoints"
-
-(* Hedging: when the primary attempt has not answered after
-   [p_hedge_ms], fire one duplicate through the pool (round-robin
-   advances, so it lands on a different endpoint when one exists) and
-   take whichever answers first.  Only for idempotent requests — a
-   hedge is by construction a retry that may double-execute. *)
-let request_hedged ?deadline_ms t req =
-  let primary = Atomic.make None and hedge = Atomic.make None in
-  let run cell =
-    ignore
-      (Thread.create
-         (fun () ->
-           let r =
-             try request_once ?deadline_ms t req
-             with e -> Error (Printexc.to_string e)
-           in
-           Atomic.set cell (Some r))
-         ())
-  in
-  run primary;
-  let hedge_at =
-    Unix.gettimeofday () +. (float_of_int t.p_hedge_ms /. 1000.0)
-  in
-  let hedge_fired = ref false in
-  let rec wait n =
-    let rp = Atomic.get primary in
-    let rh = if !hedge_fired then Atomic.get hedge else None in
-    match (rp, rh) with
-    | Some (Ok resp), _ -> Ok resp
-    | _, Some (Ok resp) ->
-        Atomic.incr t.p_hedge_wins;
-        Ok resp
-    | Some (Error _ as e), None when not !hedge_fired ->
-        (* the primary already burned the retry budget; no hedge now *)
-        e
-    | Some (Error _ as e), Some (Error _) -> e
-    | _ ->
-        if
-          (not !hedge_fired)
-          && rp = None
-          && Unix.gettimeofday () >= hedge_at
-        then begin
-          hedge_fired := true;
-          Atomic.incr t.p_hedges;
-          run hedge
-        end;
-        backoff n;
-        wait (n + 1)
-  in
-  wait 0
-
-let request ?deadline_ms t req =
   if Atomic.get t.p_closed then Error "client pool is closed"
   else if match req with Serve.Sweep _ -> true | _ -> false then
     Error "sweep responses stream (one frame per binding); use Coordinator"
@@ -516,9 +453,7 @@ let request ?deadline_ms t req =
     Error
       "reanalyze responses stream (one frame per invalidated function); \
        use a direct connection (mira client reanalyze)"
-  else if t.p_hedge_ms > 0 && idempotent req && Array.length t.p_eps > 1 then
-    request_hedged ?deadline_ms t req
-  else request_once ?deadline_ms t req
+  else go 0 "no endpoints"
 
 let sweep ?jobs ?deadline_ms t reqs =
   let arr = Array.of_list reqs in
@@ -567,11 +502,8 @@ let close t =
             | None -> ()))
       t.p_eps
 
-let with_pool ?io_timeout_ms ?max_inflight ?retries ?hedge_ms ?auth_secret
-    eps f =
-  let t =
-    create ?io_timeout_ms ?max_inflight ?retries ?hedge_ms ?auth_secret eps
-  in
+let with_pool ?io_timeout_ms ?max_inflight ?retries ?auth_secret eps f =
+  let t = create ?io_timeout_ms ?max_inflight ?retries ?auth_secret eps in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 let with_endpoint ?io_timeout_ms ep f = with_pool ?io_timeout_ms [ ep ] f
@@ -601,3 +533,22 @@ let wait_ready ?(timeout_s = 5.0) ?auth_secret ep =
     end
   in
   go ()
+
+type health = Ready | Starting | Draining | Unreachable
+
+let probe ?auth_secret ~timeout_ms ep =
+  match Endpoint.connect ~io_timeout_ms:timeout_ms ep with
+  | exception _ -> Unreachable
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          match Serve.roundtrip ?auth_secret fd Serve.Health with
+          | Ok resp -> (
+              match Serve.field resp "state" with
+              | Some "starting" -> Starting
+              | Some "draining" -> Draining
+              (* a pre-health daemon answers with an error frame, no
+                 state: alive, just old *)
+              | Some _ | None -> Ready)
+          | Error _ -> Unreachable)

@@ -47,7 +47,6 @@ val create :
   ?io_timeout_ms:int ->
   ?max_inflight:int ->
   ?retries:int ->
-  ?hedge_ms:int ->
   ?auth_secret:string ->
   Endpoint.t list ->
   t
@@ -57,13 +56,7 @@ val create :
     per-request deadline; [0] disables both.  [max_inflight] (default
     8) bounds the pipeline depth per connection.  [retries] (default
     2) is the number of {e extra} attempts an idempotent request gets
-    after a transport failure.  [hedge_ms] (default 0 = off) enables
-    hedged requests: an idempotent request still unanswered after
-    [hedge_ms] fires one duplicate through the pool (round-robin lands
-    it on another endpoint when one exists) and the first answer wins —
-    tail latency protection against a slow daemon, at the cost of at
-    most one duplicate execution; meaningful only with ≥ 2 endpoints.
-    With [auth_secret] every request is
+    after a transport failure.  With [auth_secret] every request is
     sealed with an [auth=] HMAC ({!Auth}) and every response must
     verify — an unsealed or forged response kills the connection (the
     peer is not the daemon this pool was configured for).  No
@@ -78,12 +71,10 @@ type breaker_stats = {
   bk_reopened : int;
       (** cumulative half-open → closed transitions: dead endpoints
           that came back and rejoined dispatch *)
-  bk_hedges : int;  (** hedge requests fired (see [hedge_ms]) *)
-  bk_hedge_wins : int;  (** answered by the hedge, not the primary *)
 }
 
 val breaker_stats : t -> breaker_stats
-(** Live circuit-breaker and hedging counters for the pool. *)
+(** Live circuit-breaker counters for the pool. *)
 
 val request :
   ?deadline_ms:int -> t -> Serve.request -> (Serve.response, string) result
@@ -116,7 +107,6 @@ val with_pool :
   ?io_timeout_ms:int ->
   ?max_inflight:int ->
   ?retries:int ->
-  ?hedge_ms:int ->
   ?auth_secret:string ->
   Endpoint.t list ->
   (t -> 'a) ->
@@ -135,6 +125,17 @@ val wait_ready : ?timeout_s:float -> ?auth_secret:string -> Endpoint.t -> bool
     tests that just started one); [false] on timeout (default 5 s).
     [auth_secret] is required to probe a secret-bearing [tcp:]
     daemon (the unauthenticated ping would be rejected). *)
+
+type health = Ready | Starting | Draining | Unreachable
+
+val probe : ?auth_secret:string -> timeout_ms:int -> Endpoint.t -> health
+(** One readiness probe, the one {!Supervisor} and {!Coordinator}
+    share: connect (bounded, like the exchange, by [timeout_ms]), send
+    [health] — sealed with [auth_secret] when given, which a
+    secret-bearing [tcp:] daemon requires — classify the answer's
+    [state], close.  A daemon that answers without a [state] field (an
+    error frame from a daemon older than the verb) counts as [Ready]:
+    alive, just old.  No answer at all is [Unreachable]. *)
 
 val idempotent : Serve.request -> bool
 (** Whether the pool may transparently retry this request after a

@@ -128,25 +128,6 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
     in
     let fails = ref 0 in
     let reqno = ref 0 in
-    (* Open-circuit probe: is the daemon back?  One [health] (or, for
-       a pre-health daemon, any parsed answer) roundtrip; a daemon
-       reporting itself starting or draining is not ready to take
-       chunks yet. *)
-    let probe_once () =
-      match Endpoint.connect ~io_timeout_ms:heartbeat_ms ep with
-      | exception _ -> false
-      | fd ->
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              match Serve.roundtrip ?auth_secret fd Serve.Health with
-              | Ok resp -> (
-                  match Serve.field resp "state" with
-                  | Some ("starting" | "draining") -> false
-                  | Some _ | None -> true)
-              | Error _ -> false)
-    in
     (* The half-open wait of a worker whose daemon was lost: instead of
        retiring for good, keep probing the endpoint — a supervisor may
        be restarting it — and rejoin the sweep when it answers.  The
@@ -163,7 +144,11 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
         let worth_waiting = sh.sh_unfinished > 0 && sh.sh_active > 0 in
         Mutex.unlock sh.sh_mutex;
         if (not worth_waiting) || Unix.gettimeofday () > deadline then false
-        else if probe_once () then true
+        (* a daemon reporting itself starting or draining is not
+           ready to take chunks yet *)
+        else if
+          Client.probe ?auth_secret ~timeout_ms:heartbeat_ms ep = Client.Ready
+        then true
         else begin
           Thread.delay 0.2;
           go ()

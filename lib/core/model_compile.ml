@@ -321,7 +321,6 @@ type prog = {
 let params p = p.p_params
 let mnemonics p = p.p_mnemonics
 let prog_mode p = p.p_mode
-let n_ops p = Array.length p.p_ops
 let n_regs p = p.p_nregs
 let prog_arch p = p.p_arch
 

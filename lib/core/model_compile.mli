@@ -71,7 +71,6 @@ val mnemonics : prog -> string array
 
 val prog_mode : prog -> mode
 val prog_arch : prog -> string option
-val n_ops : prog -> int
 val n_regs : prog -> int
 val validate : prog -> bool
 (** Structural soundness (register indices in range …) — what the

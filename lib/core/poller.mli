@@ -2,9 +2,8 @@
 
     [Unix.select] cannot watch a descriptor numbered >= FD_SETSIZE
     (1024 on Linux) — writing it into an [fd_set] is undefined
-    behaviour — so the event-loop server and the bench-serve load
-    generator, both of which hold thousands of sockets, go through
-    this module instead.  Unix-only (the stub passes the descriptor's
+    behaviour — so the event-loop server, which holds thousands of
+    sockets, goes through this module instead.  Unix-only (the stub passes the descriptor's
     integer value straight to [poll]). *)
 
 val rlimit_nofile : unit -> int

@@ -1,8 +1,7 @@
-/* poll(2) binding for the event-loop server and the bench-serve load
-   generator.  Unix.select tops out at FD_SETSIZE (1024 on Linux)
-   descriptors -- writing a larger fd into an fd_set is undefined
-   behaviour -- so a server meant to hold 10k+ connections needs a real
-   poller.  The binding is deliberately minimal: the caller passes
+/* poll(2) binding for the event-loop server.  Unix.select tops out
+   at FD_SETSIZE (1024 on Linux) descriptors -- writing a larger fd
+   into an fd_set is undefined behaviour -- so a server meant to hold
+   10k+ connections needs a real poller.  The binding is deliberately minimal: the caller passes
    parallel int arrays (fds, requested events, a revents out-buffer)
    and gets poll's return count back; event bit values are exported
    from <poll.h> so the OCaml side never hard-codes platform bits. */

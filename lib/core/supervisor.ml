@@ -27,6 +27,7 @@ type config = {
   sp_storm_window_s : float;
   sp_grace_ms : int;
   sp_seed : int;
+  sp_auth_secret : string option;
   sp_log : string -> unit;
 }
 
@@ -41,6 +42,7 @@ let default_config ~children =
     sp_storm_window_s = 30.0;
     sp_grace_ms = 5_000;
     sp_seed = 0;
+    sp_auth_secret = None;
     sp_log = (fun m -> Printf.eprintf "mira supervise: %s\n%!" m);
   }
 
@@ -124,28 +126,6 @@ let backoff_ms cfg ~name ~attempt =
     * base / 256
   in
   capped + jitter
-
-(* ---------- readiness probe ---------- *)
-
-type probe = Ready | Starting | Draining | Unreachable
-
-let probe_child ~timeout_ms ch =
-  match Endpoint.connect ~io_timeout_ms:timeout_ms ch.ch_spec.cs_endpoint with
-  | exception _ -> Unreachable
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match Serve.roundtrip fd Serve.Health with
-          | Ok resp -> (
-              match Serve.field resp "state" with
-              | Some "starting" -> Starting
-              | Some "draining" -> Draining
-              | Some _ -> Ready
-              (* a pre-health daemon answers with an error frame:
-                 alive, just old *)
-              | None -> Ready)
-          | Error _ -> Unreachable)
 
 (* ---------- lifecycle ---------- *)
 
@@ -295,8 +275,11 @@ let run t =
             then storm := Some ch.ch_spec.cs_name
         | None ->
             if probing then (
-              match probe_child ~timeout_ms:cfg.sp_probe_interval_ms ch with
-              | Ready | Draining ->
+              match
+                Client.probe ?auth_secret:cfg.sp_auth_secret
+                  ~timeout_ms:cfg.sp_probe_interval_ms ch.ch_spec.cs_endpoint
+              with
+              | Client.Ready | Client.Draining ->
                   (* draining counts as alive: it is finishing real
                      work, not wedged — and only our own shutdown
                      fan-out puts a supervised child there *)
@@ -307,7 +290,7 @@ let run t =
                     cfg.sp_log
                       (Printf.sprintf "%s: ready" ch.ch_spec.cs_name)
                   end
-              | Starting | Unreachable ->
+              | Client.Starting | Client.Unreachable ->
                   (* readiness: answering [starting] forever and not
                      answering at all are the same wedge *)
                   if now -. ch.ch_last_alive > wedge_s then begin

@@ -52,13 +52,16 @@ type config = {
   sp_storm_window_s : float;  (** …when inside this window *)
   sp_grace_ms : int;  (** SIGTERM → SIGKILL drain deadline *)
   sp_seed : int;  (** jitter determinism *)
+  sp_auth_secret : string option;
+      (** seals every [health] probe ({!Client.probe}); a child serving
+          [tcp:] with a secret rejects unsealed frames *)
   sp_log : string -> unit;
 }
 
 val default_config : children:child_spec list -> config
 (** 300 ms probes, 10 s wedge timeout, 200 ms backoff doubling to a
     5 s cap, breaker at 5 failures in 30 s, 5 s drain grace, seed 0,
-    logging to [stderr]. *)
+    no secret, logging to [stderr]. *)
 
 type stats = {
   su_spawns : int;  (** processes forked, including the initial fleet *)

@@ -103,7 +103,7 @@ let differential what model ~fname ~sweep ~fixed ~env =
 
 (* ---------- corpus differential ---------- *)
 
-let corpus_env_values = [ 4; 7; 12 ]
+let corpus_env_values = [ 4; 7; 12; 37; 100 ]
 
 let test_corpus_differential () =
   let rng = Random.State.make [| fuzz_seed; 17 |] in

@@ -13,8 +13,7 @@
      [stop] drains the fleet and returns [Drained];
    - client breakers: repeated failures open an endpoint's circuit,
      and once a daemon appears there the elapsed-cooldown half-open
-     probe closes it again ([bk_reopened]); a hedged request beats a
-     stalled daemon through the second endpoint ([bk_hedge_wins]);
+     probe closes it again ([bk_reopened]);
    - coordinator revival: an endpoint dead at sweep start is lost
      ([co_daemons_lost]), then revived by its half-open probe when a
      daemon comes up mid-sweep, and rejoins ([co_revived]) — every
@@ -24,13 +23,16 @@
      again after its restart; both generations are respawned, the
      sweeps complete exactly-once and byte-identical to a
      single-daemon run, and the twice-restarted child observably
-     serves; SIGTERM drains the whole tree with exit 0;
+     serves; SIGTERM drains the whole tree with exit 0; a child on a
+     secret-bearing tcp endpoint is probed with sealed frames, so its
+     own stats count no protocol errors;
    - cache merge vs a live batch writer racing on one DST (real
      cross-process lock interplay), merged result fully warm and
      byte-identical;
    - CLI: [eval-sweep --pipeline] (deprecated through PR 9, removed
      in PR 10) is rejected as an unknown option; [supervise] refuses
-     an unprobeable [tcp:...:0] endpoint. *)
+     an unprobeable [tcp:...:0] endpoint and a secret passed only
+     through [--serve-arg]. *)
 
 open Mira_core
 
@@ -356,28 +358,6 @@ let breaker_tests =
                 let st = Client.breaker_stats pool in
                 check int "circuit closed again" 1 st.Client.bk_closed;
                 check int "reopen counted" 1 st.Client.bk_reopened)));
-    test_case "a hedged request beats a stalled daemon" `Quick (fun () ->
-        let stall =
-          { Faults.none with Faults.seed; slow_p = 1.0; slow_ms = 800 }
-        in
-        let slow_ep = unix_ep () and fast_ep = unix_ep () in
-        with_daemon ~wait:false
-          ~cfg:(fun c -> { c with Serve.cfg_faults = Some stall })
-          [ slow_ep ]
-          (fun ~eps:_ _slow ->
-            with_daemon [ fast_ep ] (fun ~eps:_ _fast ->
-                (* round-robin starts at the slow daemon; the hedge
-                   fires after 50 ms and the fast daemon answers it
-                   long before the 800 ms stall releases the primary *)
-                Client.with_pool ~hedge_ms:50 ~io_timeout_ms:5_000
-                  [ slow_ep; fast_ep ]
-                  (fun pool ->
-                    (match Client.request pool Serve.Ping with
-                    | Ok r -> check string "answered" "ok" r.Serve.rs_status
-                    | Error m -> failf "hedged ping: %s" m);
-                    let st = Client.breaker_stats pool in
-                    check int "hedge fired" 1 st.Client.bk_hedges;
-                    check int "hedge won" 1 st.Client.bk_hedge_wins))));
   ]
 
 (* ---------- coordinator revival ---------- *)
@@ -489,9 +469,68 @@ let spawned_pids err_file name =
                in
                int_of_string_opt digits)
 
+(* a concrete port: the supervisor probes each child at the address
+   it was given, so tcp port 0 is refused *)
+let free_tcp_port () =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close s)
+    (fun () ->
+      Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      match Unix.getsockname s with
+      | Unix.ADDR_INET (_, port) -> port
+      | Unix.ADDR_UNIX _ -> assert false)
+
+let stats_value (r : Serve.response) key =
+  List.find_map
+    (fun line ->
+      match String.index_opt line '=' with
+      | Some i when String.sub line 0 i = key ->
+          Some (String.sub line (i + 1) (String.length line - i - 1))
+      | _ -> None)
+    (String.split_on_char '\n' r.Serve.rs_body)
+
 let fleet_tests =
   let open Alcotest in
   [
+    test_case "a secret-bearing tcp child is probed with sealed frames"
+      `Slow (fun () ->
+        let secret = "supervise-secret" in
+        let secret_file = temp_name "mira-sup-secret" in
+        write_file secret_file (secret ^ "\n");
+        let ep = Endpoint.Tcp ("127.0.0.1", free_tcp_port ()) in
+        let sup_out = temp_name "mira-sup-out" in
+        let sup_err = temp_name "mira-sup-err" in
+        let sup_pid =
+          spawn_capture
+            [|
+              mira_exe; "supervise"; "-e"; Endpoint.to_string ep;
+              "--auth-secret-file"; secret_file; "--probe-interval-ms"; "100";
+            |]
+            sup_out sup_err
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            kill_pid sup_pid;
+            ignore (wait_exit sup_pid);
+            List.iter kill_pid (spawned_pids sup_err "serve-0");
+            List.iter
+              (fun f -> try Sys.remove f with Sys_error _ -> ())
+              [ secret_file; sup_out; sup_err ])
+          (fun () ->
+            check bool "child is up" true
+              (Client.wait_ready ~timeout_s:20.0 ~auth_secret:secret ep);
+            wait_for "the supervisor to see serve-0 ready" (fun () ->
+                contains (read_file sup_err) "serve-0: ready");
+            (* about ten more 100 ms probes; an unsealed one is an auth
+               rejection, counted as a protocol error by the child *)
+            Unix.sleepf 1.0;
+            Client.with_pool ~auth_secret:secret [ ep ] (fun pool ->
+                match Client.request pool Serve.Stats with
+                | Ok r ->
+                    check (option string) "protocol errors" (Some "0")
+                      (stats_value r "protocol-errors")
+                | Error m -> failf "authenticated stats: %s" m)));
     test_case
       "a supervised fleet survives a child SIGKILLed twice, exactly-once"
       `Slow (fun () ->
@@ -729,6 +768,29 @@ let cli_tests =
         | _ -> fail "supervise did not exit normally");
         check bool "explains why" true (contains (read_file out) "port 0");
         try Sys.remove out with Sys_error _ -> ());
+    test_case "supervise refuses a secret passed only through --serve-arg"
+      `Quick (fun () ->
+        let secret_file = temp_name "mira-sup-secret" in
+        write_file secret_file "s\n";
+        let out = temp_name "mira-supsa-out" in
+        let pid =
+          spawn_capture
+            [|
+              mira_exe; "supervise"; "-e";
+              "unix:" ^ temp_name "mira-supsa" ^ ".sock";
+              "--serve-arg=--auth-secret-file"; "--serve-arg=" ^ secret_file;
+            |]
+            out out
+        in
+        (match wait_exit pid with
+        | Unix.WEXITED 124 -> ()
+        | Unix.WEXITED c -> failf "expected usage exit 124, got %d" c
+        | _ -> fail "supervise did not exit normally");
+        check bool "names the flag to use" true
+          (contains (read_file out) "give --auth-secret-file to supervise");
+        List.iter
+          (fun f -> try Sys.remove f with Sys_error _ -> ())
+          [ secret_file; out ]);
   ]
 
 let () =
