@@ -28,19 +28,22 @@ ci:
 	$(MAKE) perfbench-smoke
 	timeout --kill-after=10 120 dune exec bench/main.exe -- --fast
 
-# Seed sweep: the fault-injection and cluster harnesses re-run under
-# several pinned MIRA_FAULT_SEED values.  Each seed draws a different
-# deterministic fault schedule (different sources corrupted, different
-# connections killed), so invariants that happen to hold under one
-# schedule — exactly-once dispatch, byte-identical recovery — get
-# checked under three.  Assertions tied to the default schedule's
-# specifics are themselves seed-gated in the tests.
+# Seed sweep: the fault-injection, cluster, daemon and protocol
+# harnesses re-run under several pinned MIRA_FAULT_SEED values.  Each
+# seed draws a different deterministic fault schedule (different
+# sources corrupted, different connections killed, different frames
+# cut short on the event loop's write path), so invariants that happen
+# to hold under one schedule — exactly-once dispatch, byte-identical
+# recovery, pipelined answers re-associated by id — get checked under
+# three.  Assertions tied to the default schedule's specifics are
+# themselves seed-gated in the tests.
 ci-seeds: build
 	for s in 20260806 7 424242; do \
 	  echo "== MIRA_FAULT_SEED=$$s"; \
 	  MIRA_FAULT_SEED=$$s timeout --kill-after=30 300 \
 	    sh -ec 'cd _build/default/test \
-	      && ./test_faults.exe -e && ./test_cluster.exe -e' || exit 1; \
+	      && ./test_faults.exe -e && ./test_cluster.exe -e \
+	      && ./test_serve.exe -e && ./test_protocol.exe -e' || exit 1; \
 	done
 
 # Chaos smoke: the self-healing-fleet harness end to end — seeded

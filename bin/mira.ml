@@ -949,9 +949,10 @@ let serve_cmd =
       value & opt int 8
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Analysis worker threads.  Analyze/eval requests run on this \
-             fixed pool; ping/stats are answered by the event loop itself, \
-             and connections cost a descriptor, not a thread.")
+            "Worker threads.  Every request but ping, health, stats and \
+             shutdown runs on this fixed pool; those four are answered by \
+             the event loop itself, and connections cost a descriptor, not \
+             a thread.")
   in
   let no_incremental =
     Arg.(
@@ -973,67 +974,10 @@ let serve_cmd =
       $ Opts.cache_term $ no_incremental $ level_arg $ Opts.limits_term
       $ Opts.faults $ Opts.auth_secret_file $ Opts.no_fsync)
 
-(* shared response rendering for the pooled clients: print one response
-   (body to stdout, diagnostics to stderr) and return its exit code *)
-let render_response = function
-  | Error m ->
-      Printf.eprintf "error: %s\n" m;
-      exit_internal
-  | Ok resp -> (
-      match resp.Mira_core.Serve.rs_status with
-      | "ok" ->
-          List.iter
-            (fun (k, v) ->
-              if k = "warning" then Printf.eprintf "warning: %s\n" v)
-            resp.rs_fields;
-          (if resp.rs_body <> "" then begin
-             print_string resp.rs_body;
-             (* eval carries its headline numbers as fields; stats carries
-                the compiled-evaluator counters there too (the body's key
-                list is pinned wire shape, see docs/PROTOCOL.md) *)
-             List.iter
-               (fun k ->
-                 match Mira_core.Serve.field resp k with
-                 | Some v -> Printf.printf "%s=%s\n" k v
-                 | None -> ())
-               [ "fpi"; "total"; "compile-hits"; "compile-misses";
-                 "compile-fallbacks" ]
-           end
-           else
-             match Mira_core.Serve.field resp "pong" with
-             | Some _ -> print_endline "pong"
-             | None -> (
-                 match Mira_core.Serve.field resp "state" with
-                 | Some _ ->
-                     (* a health response: its payload is all fields *)
-                     List.iter
-                       (fun k ->
-                         match Mira_core.Serve.field resp k with
-                         | Some v -> Printf.printf "%s=%s\n" k v
-                         | None -> ())
-                       [ "state"; "inflight"; "max-inflight"; "workers";
-                         "served"; "failed" ]
-                 | None -> print_endline "ok"));
-          0
-      | "overloaded" ->
-          Printf.eprintf "error: server overloaded, retry later\n";
-          exit_budget
-      | "error" ->
-          let msg =
-            Option.value
-              (Mira_core.Serve.field resp "message")
-              ~default:"unknown error"
-          in
-          Printf.eprintf "error: %s\n" msg;
-          (match Mira_core.Serve.field resp "code" with
-          | Some ("budget" | "timeout") -> exit_budget
-          | Some "internal" -> exit_internal
-          | _ -> exit_analysis)
-      | other ->
-          Printf.eprintf "error: unknown response status %S\n" other;
-          exit_internal)
-
-(* the exit code a response maps to, shared by text and JSON modes *)
+(* The exit code a response maps to: the one status-to-exit mapping,
+   shared by text and JSON rendering and by eval-sweep.  Its order is
+   the taxonomy's: transport/internal (3) > budget/overload (2) >
+   analysis (1). *)
 let response_code = function
   | Error _ -> exit_internal
   | Ok resp -> (
@@ -1046,6 +990,50 @@ let response_code = function
           | Some "internal" -> exit_internal
           | _ -> exit_analysis)
       | _ -> exit_internal)
+
+(* shared response rendering for the pooled clients: print one response
+   (body to stdout, diagnostics to stderr) and return its exit code *)
+let render_response r =
+  (match r with
+  | Error m -> Printf.eprintf "error: %s\n" m
+  | Ok resp -> (
+      let field = Mira_core.Serve.field resp in
+      let print_fields keys =
+        List.iter
+          (fun k ->
+            match field k with
+            | Some v -> Printf.printf "%s=%s\n" k v
+            | None -> ())
+          keys
+      in
+      match resp.Mira_core.Serve.rs_status with
+      | "ok" ->
+          List.iter
+            (fun (k, v) ->
+              if k = "warning" then Printf.eprintf "warning: %s\n" v)
+            resp.rs_fields;
+          if resp.rs_body <> "" then begin
+            print_string resp.rs_body;
+            (* eval carries its headline numbers as fields; stats carries
+               the compiled-evaluator counters there too (the body's key
+               list is pinned wire shape, see docs/PROTOCOL.md) *)
+            print_fields
+              [ "fpi"; "total"; "compile-hits"; "compile-misses";
+                "compile-fallbacks" ]
+          end
+          else if field "pong" <> None then print_endline "pong"
+          else if field "state" <> None then
+            (* a health response: its payload is all fields *)
+            print_fields
+              [ "state"; "inflight"; "max-inflight"; "workers"; "served";
+                "failed" ]
+          else print_endline "ok"
+      | "overloaded" -> Printf.eprintf "error: server overloaded, retry later\n"
+      | "error" ->
+          Printf.eprintf "error: %s\n"
+            (Option.value (field "message") ~default:"unknown error")
+      | other -> Printf.eprintf "error: unknown response status %S\n" other));
+  response_code r
 
 (* JSON rendering of one wire response: status, fields in wire order
    (keys repeat), and the body — spliced verbatim when it is itself
@@ -1160,54 +1148,29 @@ let client_cmd =
                      exactly one --endpoint\n";
                   exit 124
             in
-            let secret = Opts.load_auth_secret auth_secret_file in
+            let auth_secret = Opts.load_auth_secret auth_secret_file in
             let fd = Mira_core.Endpoint.connect ~io_timeout_ms ep in
             Fun.protect
               ~finally:(fun () ->
                 try Unix.close fd with Unix.Unix_error _ -> ())
               (fun () ->
-                let payload =
-                  Mira_core.Serve.encode_request ~id:"reanalyze-1" req
-                in
-                let payload =
-                  match secret with
-                  | Some secret -> Mira_core.Auth.seal ~secret payload
-                  | None -> payload
-                in
-                Mira_core.Serve.write_frame fd payload;
+                Mira_core.Serve.send ?auth_secret ~id:"reanalyze-1" fd req;
                 let rec drain worst =
-                  match Mira_core.Serve.read_frame fd with
+                  match Mira_core.Serve.recv ?auth_secret fd with
                   | Error e ->
                       Printf.eprintf "error: %s\n"
-                        (Mira_core.Serve.frame_error_to_string e);
+                        (match e with
+                        | `Timeout -> "socket timeout"
+                        | `Failed m -> m);
                       exit exit_internal
-                  | Ok payload -> (
-                      let payload =
-                        match secret with
-                        | None -> payload
-                        | Some secret -> (
-                            match
-                              Mira_core.Auth.verify ~secret payload
-                            with
-                            | `Ok stripped -> stripped
-                            | `Missing | `Bad ->
-                                Printf.eprintf
-                                  "error: unauthenticated response frame\n";
-                                exit exit_internal)
-                      in
-                      match Mira_core.Serve.parse_response payload with
-                      | Error m ->
-                          Printf.eprintf "error: bad response frame: %s\n" m;
-                          exit exit_internal
-                      | Ok resp ->
-                          let worst = max worst (render (Ok resp)) in
-                          if
-                            Mira_core.Serve.field resp "reanalyze-done"
-                            = Some "1"
-                            || resp.rs_status <> "ok"
-                               && Mira_core.Serve.field resp "binding" = None
-                          then worst
-                          else drain worst)
+                  | Ok resp ->
+                      let worst = max worst (render (Ok resp)) in
+                      if
+                        Mira_core.Serve.field resp "reanalyze-done" = Some "1"
+                        || resp.rs_status <> "ok"
+                           && Mira_core.Serve.field resp "binding" = None
+                      then worst
+                      else drain worst
                 in
                 let worst = drain 0 in
                 if worst <> 0 then exit worst)
@@ -1633,7 +1596,9 @@ let eval_sweep_cmd =
         let results = Array.to_list results in
         (* results come back in input order whatever the completion order
            across the pool was; render one line per spec line *)
-        let transport = ref 0 and budget_hits = ref 0 and failed = ref 0 in
+        let fld resp k default =
+          Option.value (Mira_core.Serve.field resp k) ~default
+        in
         List.iter2
           (fun (_, file, fn, params) result ->
             let label =
@@ -1644,32 +1609,17 @@ let eval_sweep_cmd =
                       params))
             in
             match result with
-            | Error m ->
-                incr transport;
-                Printf.printf "error %s: %s\n" label m
+            | Error m -> Printf.printf "error %s: %s\n" label m
             | Ok resp -> (
                 match resp.Mira_core.Serve.rs_status with
                 | "ok" ->
-                    let fld k =
-                      Option.value
-                        (Mira_core.Serve.field resp k)
-                        ~default:"?"
-                    in
-                    Printf.printf "ok %s fpi=%s total=%s\n" label (fld "fpi")
-                      (fld "total")
+                    Printf.printf "ok %s fpi=%s total=%s\n" label
+                      (fld resp "fpi" "?") (fld resp "total" "?")
                 | "overloaded" ->
-                    incr budget_hits;
                     Printf.printf "error %s: server overloaded\n" label
                 | _ ->
-                    let msg =
-                      Option.value
-                        (Mira_core.Serve.field resp "message")
-                        ~default:"unknown error"
-                    in
-                    (match Mira_core.Serve.field resp "code" with
-                    | Some ("budget" | "timeout") -> incr budget_hits
-                    | _ -> incr failed);
-                    Printf.printf "error %s: %s\n" label msg))
+                    Printf.printf "error %s: %s\n" label
+                      (fld resp "message" "unknown error")))
           specs results;
         (* whole-fleet death: name exactly which evaluations were never
            answered, so a partial run is actionable *)
@@ -1689,12 +1639,12 @@ let eval_sweep_cmd =
                        (fun (k, v) -> Printf.sprintf " %s=%d" k v)
                        params)))
              cstats.co_unfinished);
-        (* transport failures outrank budget outranks analysis, mirroring
-           `mira batch`'s slow-vs-broken split with an extra "unreachable"
-           tier *)
-        if !transport > 0 then exit exit_internal
-        else if !budget_hits > 0 then exit exit_budget
-        else if !failed > 0 then exit exit_analysis)
+        (* the worst answer decides, in [response_code]'s order:
+           transport or internal > budget > analysis *)
+        let worst =
+          List.fold_left (fun acc r -> max acc (response_code r)) 0 results
+        in
+        if worst <> 0 then exit worst)
   in
   let sweep_file =
     Arg.(
@@ -1722,7 +1672,8 @@ let eval_sweep_cmd =
             "Liveness threshold per daemon connection: after this much \
              silence the coordinator pings, and a second silent interval \
              declares the daemon lost — its unfinished evaluations are \
-             re-dispatched to the survivors.  0 disables loss detection.")
+             re-dispatched to the survivors.  0 disables loss detection; \
+             a $(b,--chunk-deadline-ms) still bounds every read.")
   in
   let chunk_deadline_ms =
     Arg.(

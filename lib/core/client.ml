@@ -45,47 +45,33 @@ let kill conn msg =
 
 let reader conn =
   let rec loop () =
-    match Serve.read_frame conn.c_fd with
-    | Error Serve.Timed_out ->
+    match Serve.recv ?auth_secret:conn.c_secret conn.c_fd with
+    | Error `Timeout ->
         (* the socket timeout is only a poll tick here: per-request
            deadlines belong to the waiters, and an idle pooled
            connection is not an error *)
         if conn.c_dead = None then loop ()
-    | Error e -> kill conn (Serve.frame_error_to_string e)
-    | Ok payload -> (
-        let payload =
-          match conn.c_secret with
-          | None -> Ok payload
-          | Some secret -> (
-              (* a secret-bearing daemon seals every response; an
-                 unsealed or forged frame means the peer is not the
-                 daemon this pool was configured for *)
-              match Auth.verify ~secret payload with
-              | `Ok stripped -> Ok stripped
-              | `Missing | `Bad -> Error "response failed authentication")
-        in
-        match Result.bind payload Serve.parse_response with
-        | Error m -> kill conn ("unparseable response: " ^ m)
-        | Ok resp -> (
-            match Serve.field resp "id" with
+    | Error (`Failed m) -> kill conn m
+    | Ok resp -> (
+        match Serve.field resp "id" with
+        | None ->
+            (* the only legitimate untagged response is the shed
+               frame the accept loop sends before dropping us *)
+            if resp.Serve.rs_status = "overloaded" then
+              kill conn "server overloaded"
+            else kill conn "untagged response on a pipelined connection"
+        | Some id ->
+            Mutex.lock conn.c_mu;
+            (match Hashtbl.find_opt conn.c_slots id with
+            | Some slot ->
+                slot.s_resp <- Some resp;
+                Hashtbl.remove conn.c_slots id
             | None ->
-                (* the only legitimate untagged response is the shed
-                   frame the accept loop sends before dropping us *)
-                if resp.Serve.rs_status = "overloaded" then
-                  kill conn "server overloaded"
-                else kill conn "untagged response on a pipelined connection"
-            | Some id ->
-                Mutex.lock conn.c_mu;
-                (match Hashtbl.find_opt conn.c_slots id with
-                | Some slot ->
-                    slot.s_resp <- Some resp;
-                    Hashtbl.remove conn.c_slots id
-                | None ->
-                    (* an abandoned (deadlined) request's late answer:
-                       drop it, the stream itself is still in sync *)
-                    ());
-                Mutex.unlock conn.c_mu;
-                loop ()))
+                (* an abandoned (deadlined) request's late answer:
+                   drop it, the stream itself is still in sync *)
+                ());
+            Mutex.unlock conn.c_mu;
+            loop ())
   in
   (try loop () with _ -> ());
   Mutex.lock conn.c_mu;
@@ -142,13 +128,7 @@ let conn_request conn ~max_inflight ~deadline_ms req =
     let slot = { s_resp = None } in
     Hashtbl.replace conn.c_slots id slot;
     conn.c_inflight <- conn.c_inflight + 1;
-    let payload = Serve.encode_request ~id req in
-    let payload =
-      match conn.c_secret with
-      | Some secret -> Auth.seal ~secret payload
-      | None -> payload
-    in
-    match Serve.write_frame conn.c_fd payload with
+    match Serve.send ?auth_secret:conn.c_secret ~id conn.c_fd req with
     | exception e ->
         Hashtbl.remove conn.c_slots id;
         conn.c_inflight <- conn.c_inflight - 1;
@@ -349,8 +329,12 @@ let breaker_ok t st =
    healthy endpoints exist would strand a revived endpoint open
    forever), then a closed-circuit endpoint with pipeline room, then
    any closed one, then the raw round-robin choice (when every
-   circuit is open, trying beats failing) *)
-let pick t =
+   circuit is open, trying beats failing).  A retry passes the
+   endpoint that just failed it as [avoid] and goes elsewhere
+   whenever there is an elsewhere: a dead endpoint's circuit can
+   still read closed (a late answer from before its death resets it),
+   and a busy live endpoint must not lose the retry to it. *)
+let pick ?avoid t =
   let n = Array.length t.p_eps in
   let start = Atomic.fetch_and_add t.p_rr 1 in
   let at i = t.p_eps.((start + i) mod n) in
@@ -370,9 +354,12 @@ let pick t =
     | Some c -> c.c_dead = None && c.c_inflight < t.p_max_inflight
     | None -> true
   in
+  let usable st =
+    n = 1 || match avoid with Some a -> st != a | None -> true
+  in
   let rec scan i pred = if i >= n then None else
     let st = at i in
-    if pred st then Some st else scan (i + 1) pred
+    if usable st && pred st then Some st else scan (i + 1) pred
   in
   let claim_probe st =
     (* claim the single probe slot; a racing picker that saw the same
@@ -394,7 +381,9 @@ let pick t =
       match scan 0 (fun st -> closed st && room st) with
       | Some st -> st
       | None -> (
-          match scan 0 closed with Some st -> st | None -> at 0))
+          match scan 0 closed with
+          | Some st -> st
+          | None -> Option.value (scan 0 (fun _ -> true)) ~default:(at 0)))
 
 let get_conn t st =
   Mutex.lock st.e_mu;
@@ -414,19 +403,20 @@ let get_conn t st =
 let request ?deadline_ms t req =
   let deadline_ms = Option.value deadline_ms ~default:t.p_io_timeout_ms in
   let attempts = if idempotent req then 1 + t.p_retries else 1 in
-  let rec go attempt last_err =
+  let rec go ?avoid attempt last_err =
     if attempt >= attempts then Error last_err
     else
-      let st = pick t in
+      let st = pick ?avoid t in
       let label m = Endpoint.to_string st.e_ep ^ ": " ^ m in
       match get_conn t st with
       | exception Unix.Unix_error (e, _, _) ->
           breaker_fail st;
-          go (attempt + 1) (label ("connect: " ^ Unix.error_message e))
+          go ~avoid:st (attempt + 1)
+            (label ("connect: " ^ Unix.error_message e))
       | exception Failure m ->
           (* unresolvable host: no point hammering it *)
           breaker_fail st;
-          go (attempt + 1) (label m)
+          go ~avoid:st (attempt + 1) (label m)
       | conn -> (
           match
             conn_request conn ~max_inflight:t.p_max_inflight ~deadline_ms
@@ -437,14 +427,14 @@ let request ?deadline_ms t req =
                  but surface the shed itself when attempts run out *)
               breaker_fail st;
               if idempotent req && attempt + 1 < attempts then
-                go (attempt + 1) (label "overloaded")
+                go ~avoid:st (attempt + 1) (label "overloaded")
               else Ok resp
           | Ok resp ->
               breaker_ok t st;
               Ok resp
           | Error m ->
               breaker_fail st;
-              go (attempt + 1) (label m))
+              go ~avoid:st (attempt + 1) (label m))
   in
   if Atomic.get t.p_closed then Error "client pool is closed"
   else if match req with Serve.Sweep _ -> true | _ -> false then

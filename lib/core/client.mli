@@ -26,8 +26,9 @@
     {!breaker_stats}[.bk_reopened] — while failure re-opens it with a
     longer cooldown.  For {e idempotent} requests ([ping], [stats],
     [health], [analyze], [eval]: all side-effect-free on the daemon),
-    a failure also retries on the next endpoint, up to [retries] extra
-    attempts.  [shutdown] is
+    a failure also retries on another endpoint (never the one that
+    just failed, when the pool has more than one), up to [retries]
+    extra attempts.  [shutdown] is
     not idempotent and is {e never} retried: if its connection dies
     before the acknowledgement arrives, the caller gets the transport
     error and must decide for itself.  An [overloaded] response is

@@ -111,11 +111,16 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
     | Some finished, Some f -> f ~finished ~total
     | _ -> ()
   in
-  let seal payload =
-    match auth_secret with
-    | Some secret -> Auth.seal ~secret payload
-    | None -> payload
+  (* every socket operation is bounded by the nearer of the heartbeat
+     and the chunk deadline, whichever are on; the revival probe always
+     gets a positive timeout, or one silent peer would park its worker
+     (and [run]'s final join) forever *)
+  let io_ms =
+    if heartbeat_ms > 0 && (deadline_ms <= 0 || heartbeat_ms <= deadline_ms)
+    then heartbeat_ms
+    else deadline_ms
   in
+  let probe_ms = if io_ms > 0 then io_ms else 1000 in
   let worker wi ep =
     let ep_str = Endpoint.to_string ep in
     let conn = ref None in
@@ -147,7 +152,7 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
         (* a daemon reporting itself starting or draining is not
            ready to take chunks yet *)
         else if
-          Client.probe ?auth_secret ~timeout_ms:heartbeat_ms ep = Client.Ready
+          Client.probe ?auth_secret ~timeout_ms:probe_ms ep = Client.Ready
         then true
         else begin
           Thread.delay 0.2;
@@ -197,7 +202,7 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
           match !conn with
           | Some fd -> fd
           | None ->
-              let fd = Endpoint.connect ~io_timeout_ms:heartbeat_ms ep in
+              let fd = Endpoint.connect ~io_timeout_ms:io_ms ep in
               conn := Some fd;
               fd
         in
@@ -234,18 +239,27 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
               sw_budget = budget;
             }
         in
-        Serve.write_frame fd (seal (Serve.encode_request ~id:sweep_id req));
-        let started = Unix.gettimeofday () in
+        Serve.send ?auth_secret ~id:sweep_id fd req;
+        let deadline =
+          if deadline_ms > 0 then
+            Unix.gettimeofday () +. (float_of_int deadline_ms /. 1000.)
+          else infinity
+        in
+        let beat_s = float_of_int heartbeat_ms /. 1000. in
         let ping_outstanding = ref false in
         let outcome = ref None in
         while !outcome = None do
-          if
-            deadline_ms > 0
-            && (Unix.gettimeofday () -. started) *. 1000. > float_of_int deadline_ms
-          then outcome := Some (lost "chunk deadline overrun")
-          else
-            match Serve.read_frame fd with
-            | Error Serve.Timed_out ->
+          let left = deadline -. Unix.gettimeofday () in
+          if left <= 0. then outcome := Some (lost "chunk deadline overrun")
+          else begin
+            (* this read waits out the heartbeat unless the deadline
+               is nearer (the socket's own timeout is the heartbeat) *)
+            let beat = heartbeat_ms > 0 && beat_s <= left in
+            if left < infinity then
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO
+                (Float.max 0.001 (if beat then beat_s else left));
+            match Serve.recv ?auth_secret fd with
+            | Error `Timeout when beat ->
                 (* [heartbeat_ms] of silence.  First: ping — the daemon
                    answers pings inline even while the sweep streams.
                    Second silence in a row means the ping went
@@ -253,82 +267,69 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
                 if !ping_outstanding then
                   outcome := Some (lost "heartbeat timeout")
                 else begin
-                  let pid = Printf.sprintf "%s-hb" sweep_id in
-                  Serve.write_frame fd
-                    (seal (Serve.encode_request ~id:pid Serve.Ping));
+                  Serve.send ?auth_secret ~id:(sweep_id ^ "-hb") fd Serve.Ping;
                   ping_outstanding := true
                 end
-            | Error e ->
-                outcome := Some (lost (Serve.frame_error_to_string e))
-            | Ok payload -> (
+            | Error `Timeout -> () (* the deadline: checked above *)
+            | Error (`Failed m) -> outcome := Some (lost m)
+            | Ok resp -> (
                 ping_outstanding := false;
-                let payload =
-                  match auth_secret with
-                  | None -> Ok payload
-                  | Some secret -> (
-                      match Auth.verify ~secret payload with
-                      | `Ok p -> Ok p
-                      | `Missing | `Bad ->
-                          Error "response failed authentication")
-                in
-                match Result.bind payload Serve.parse_response with
-                | Error e -> outcome := Some (lost e)
-                | Ok resp -> (
-                    match Serve.field resp "id" with
-                    | Some rid when rid = sweep_id -> (
-                        if Serve.field resp "sweep-done" = Some "1" then begin
-                          (* terminal frame; a well-behaved daemon has
-                             answered everything, but never trust the
-                             count — strand nothing *)
+                match Serve.field resp "id" with
+                | Some rid when rid = sweep_id -> (
+                    if Serve.field resp "sweep-done" = Some "1" then begin
+                      (* terminal frame; a well-behaved daemon has
+                         answered everything, but never trust the
+                         count — strand nothing *)
+                      Hashtbl.iter
+                        (fun i () ->
+                          record i
+                            (Error
+                               "sweep terminated without an answer"))
+                        remaining;
+                      Hashtbl.reset remaining;
+                      outcome := Some Chunk_done
+                    end
+                    else
+                      match
+                        Option.bind
+                          (Serve.field resp "binding")
+                          int_of_string_opt
+                      with
+                      | Some idx -> record_frame idx resp
+                      | None ->
+                          (* a request-level rejection (auth,
+                             bad-request): retrying elsewhere cannot
+                             help, so fail the chunk's remaining
+                             bindings instead of bouncing them
+                             around the fleet forever *)
+                          let detail =
+                            match Serve.field resp "message" with
+                            | Some m -> m
+                            | None -> String.trim resp.Serve.rs_body
+                          in
+                          let msg =
+                            Printf.sprintf "sweep rejected (%s): %s"
+                              (Option.value
+                                 (Serve.field resp "code")
+                                 ~default:resp.Serve.rs_status)
+                              detail
+                          in
                           Hashtbl.iter
-                            (fun i () ->
-                              record i
-                                (Error
-                                   "sweep terminated without an answer"))
+                            (fun i () -> record i (Error msg))
                             remaining;
                           Hashtbl.reset remaining;
-                          outcome := Some Chunk_done
-                        end
-                        else
-                          match
-                            Option.bind
-                              (Serve.field resp "binding")
-                              int_of_string_opt
-                          with
-                          | Some idx -> record_frame idx resp
-                          | None ->
-                              (* a request-level rejection (auth,
-                                 bad-request): retrying elsewhere cannot
-                                 help, so fail the chunk's remaining
-                                 bindings instead of bouncing them
-                                 around the fleet forever *)
-                              let detail =
-                                match Serve.field resp "message" with
-                                | Some m -> m
-                                | None -> String.trim resp.Serve.rs_body
-                              in
-                              let msg =
-                                Printf.sprintf "sweep rejected (%s): %s"
-                                  (Option.value
-                                     (Serve.field resp "code")
-                                     ~default:resp.Serve.rs_status)
-                                  detail
-                              in
-                              Hashtbl.iter
-                                (fun i () -> record i (Error msg))
-                                remaining;
-                              Hashtbl.reset remaining;
-                              outcome := Some Chunk_done)
-                    | Some _ -> ()  (* our heartbeat ping's answer *)
-                    | None ->
-                        (* an untagged frame mid-sweep: [overloaded] at
-                           admission, or a desynced peer — either way
-                           this connection is not serving our chunk *)
-                        outcome :=
-                          Some
-                            (lost
-                               (Printf.sprintf "connection rejected: %s"
-                                  resp.Serve.rs_status))))
+                          outcome := Some Chunk_done)
+                | Some _ -> ()  (* our heartbeat ping's answer *)
+                | None ->
+                    (* an untagged frame mid-sweep: [overloaded] at
+                       admission, or a desynced peer — either way
+                       this connection is not serving our chunk *)
+                    outcome :=
+                      Some
+                        (lost
+                           (Printf.sprintf "connection rejected: %s"
+                              resp.Serve.rs_status)))
+          end
         done;
         match !outcome with Some r -> r | None -> assert false
       with e -> lost (Printexc.to_string e)

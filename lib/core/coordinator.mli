@@ -100,9 +100,12 @@ val run :
 
     [chunk] (default 64) bindings travel per frame; [heartbeat_ms]
     (default 1000) is the silence threshold described above ([0]
-    disables liveness detection {e and} socket timeouts — a dead
-    daemon then hangs its worker forever); [deadline_ms] (default 0 =
-    off) additionally bounds one chunk end to end; [retries] (default
+    disables liveness detection); [deadline_ms] (default 0 = off)
+    additionally bounds one chunk end to end.  Every read waits at
+    most until the nearer of the two, so either alone bounds it; with
+    both off a dead daemon hangs its worker forever.  The revival
+    probe's timeout is the same bound, or 1 s when both are off.
+    [retries] (default
     3) consecutive no-progress failures open an endpoint's circuit;
     [backoff_ms] (default 100) seeds the exponential backoff (capped
     at 5 s); [revive_ms] (default 10 000) bounds the half-open

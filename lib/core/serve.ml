@@ -1,16 +1,22 @@
 (* The analysis daemon.  Layering, bottom up:
 
    - frame I/O: length-prefixed, versioned, checksummed frames over a
-     file descriptor, with fault-injection sites on the write path;
+     file descriptor; one decision ([wire_fault]) picks the injected
+     wire fault for both frame writers;
    - payload codec: a tiny line-oriented grammar shared by requests
      and responses;
    - the server: a single event loop (poll(2) via {!Poller}) in the
-     calling thread driving non-blocking per-connection state
-     machines, with analyze/eval work handed to a fixed pool of
-     [cfg_workers] threads.  An admitted connection costs a
-     descriptor and a small record, not a thread, so thousands of
-     idle connections are cheap; bounded admission with load
-     shedding and a graceful drain on stop are unchanged.
+     calling thread that only routes frames.  It drives non-blocking
+     per-connection state machines, answers ping/health/stats/shutdown
+     itself, and hands everything else to a fixed pool of
+     [cfg_workers] threads as the one kind of job: a closure run on a
+     worker, paired with a closure run back on the loop when it
+     lands.  The loop does no file I/O and no analysis.  An admitted
+     connection costs a descriptor and a small record, not a thread,
+     so thousands of idle connections are cheap; admission is bounded
+     with load shedding, and stop drains gracefully;
+   - client helpers: the one sealed [send] and [recv] every client
+     path uses.
 
    Robustness stance: everything a client can send is untrusted.
    Frame errors are classified; whatever still has a trustworthy
@@ -121,45 +127,59 @@ let write_all fd s =
 let frame payload =
   magic ^ be32 (String.length payload) ^ Digest.string payload ^ payload
 
+(* a secret-bearing peer seals everything it sends; without a secret
+   the bytes are identical to every earlier release *)
+let seal secret payload =
+  match secret with Some secret -> Auth.seal ~secret payload | None -> payload
+
+(* Which wire fault, if any, one outgoing payload suffers.  Both frame
+   writers (the blocking [write_frame] and the event loop's write
+   queue) act on this one decision, so a schedule fires the same sites,
+   on the same subjects, in the same order whichever writer sends. *)
+type wire_fault =
+  | Clean
+  | Kill  (* death between frames: nothing written, the socket severed *)
+  | Disconnect  (* the peer vanishes mid-frame: half a frame, hard close *)
+  | Short_write  (* a dropped write: half a frame, then nothing *)
+  | Slow of float  (* the header now, the payload this many seconds later *)
+
+let wire_fault faults payload =
+  match faults with
+  | None -> Clean
+  | Some f ->
+      let subject = Digest.to_hex (Digest.string payload) in
+      let fires p site = Faults.fires f ~p ~site ~subject in
+      if fires f.Faults.kill_p "net_kill" then Kill
+      else if fires f.disconnect_p "net_disconnect" then Disconnect
+      else if fires f.net_write_p "net_write" then Short_write
+      else if f.slow_ms > 0 && fires f.slow_p "net_slow" then
+        Slow (float_of_int f.slow_ms /. 1000.0)
+      else Clean
+
+let first_half s = String.sub s 0 (String.length s / 2)
+let after_header s = String.sub s header_len (String.length s - header_len)
+
 let write_frame ?faults fd payload =
   let data = frame payload in
-  let subject = Digest.to_hex (Digest.string payload) in
-  let fires p site =
-    match faults with
-    | Some f -> Faults.fires f ~p:(p f) ~site ~subject
-    | None -> false
+  let sever () =
+    try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
   in
-  if fires (fun f -> f.Faults.kill_p) "net_kill" then begin
-    (* the process dies between frames: nothing of this frame is ever
-       written, the socket is just severed — what a SIGKILLed daemon
-       looks like from the other end *)
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    raise (Faults.Injected "net_kill")
-  end
-  else if fires (fun f -> f.Faults.disconnect_p) "net_disconnect" then begin
-    (* the peer vanishes mid-frame: half a frame, then a hard close *)
-    write_all fd (String.sub data 0 (String.length data / 2));
-    (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    raise (Faults.Injected "net_disconnect")
-  end
-  else if fires (fun f -> f.Faults.net_write_p) "net_write" then begin
-    (* a dropped/short write: the frame just stops *)
-    write_all fd (String.sub data 0 (String.length data / 2));
-    raise (Faults.Injected "net_write")
-  end
-  else if
-    (match faults with Some f -> f.Faults.slow_ms > 0 | None -> false)
-    && fires (fun f -> f.Faults.slow_p) "net_slow"
-  then begin
-    (* a slow peer: the header arrives, the payload dribbles in later *)
-    write_all fd (String.sub data 0 header_len);
-    (match faults with
-    | Some f -> Unix.sleepf (float_of_int f.Faults.slow_ms /. 1000.0)
-    | None -> ());
-    write_all fd
-      (String.sub data header_len (String.length data - header_len))
-  end
-  else write_all fd data
+  match wire_fault faults payload with
+  | Clean -> write_all fd data
+  | Kill ->
+      sever ();
+      raise (Faults.Injected "net_kill")
+  | Disconnect ->
+      write_all fd (first_half data);
+      sever ();
+      raise (Faults.Injected "net_disconnect")
+  | Short_write ->
+      write_all fd (first_half data);
+      raise (Faults.Injected "net_write")
+  | Slow s ->
+      write_all fd (String.sub data 0 header_len);
+      Unix.sleepf s;
+      write_all fd (after_header data)
 
 let read_frame ?(max_bytes = 4 * 1024 * 1024) fd =
   match read_exact fd header_len with
@@ -832,17 +852,12 @@ let stop t =
 
 (* the per-request budget: the server's limits clamped down by the
    request's own (a request can tighten its budget but never exceed
-   the operator's).  Computed once at admission and carried with the
-   job, so the worker that runs it needs no ambient per-thread state
-   to find it. *)
-let request_limits (cfg : config) = function
-  | Analyze { an_budget = b; _ }
-  | Eval { ev_budget = b; _ }
-  | Sweep { sw_budget = b; _ } ->
-      Limits.clamp cfg.cfg_limits ~fuel:b.rq_fuel ~timeout_ms:b.rq_timeout_ms
-        ~depth:b.rq_depth
-  | Ping | Stats | Health | Shutdown -> cfg.cfg_limits
-  | Watch _ | Reanalyze _ | Forget _ -> cfg.cfg_limits
+   the operator's).  Computed once at admission and carried in the
+   job's closure, so the worker that runs it needs no ambient
+   per-thread state to find it. *)
+let request_limits (cfg : config) b =
+  Limits.clamp cfg.cfg_limits ~fuel:b.rq_fuel ~timeout_ms:b.rq_timeout_ms
+    ~depth:b.rq_depth
 
 let analyze_source t ~name ~source ~limits =
   let cfg = t.t_cfg in
@@ -933,7 +948,6 @@ let handle_eval t ~limits ~name ~source ~fname ~params =
           error_response ~code:"bad-request" m
       | exception e -> diag_response (Diag.of_exn e))
 
-(* returns the response plus whether the connection should go on *)
 (* The readiness probe's view of the daemon.  Order matters: a
    draining daemon is "draining" even while saturated, and a booting
    one is "starting" whatever its counters say — a supervisor restarts
@@ -944,101 +958,156 @@ let health_state t =
   else if Atomic.get t.t_inflight >= t.t_cfg.cfg_max_inflight then "overloaded"
   else "ready"
 
-(* watch/reanalyze with an empty body read the file from the daemon's
-   own filesystem (shared-filesystem deployment); failures are ordinary
-   io-coded error responses, never exceptions *)
-let read_path_file path =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | s -> Ok s
-  | (exception Sys_error m) -> Error m
-  | (exception Unix.Unix_error (e, _, _)) ->
-      Error (path ^ ": " ^ Unix.error_message e)
+(* purely additive: a new verb plus response fields, nothing in the
+   existing grammar moves (docs/PROTOCOL.md, "health") *)
+let health_response t =
+  ok
+    ~fields:
+      [
+        ("state", health_state t);
+        ("inflight", string_of_int (Atomic.get t.t_inflight));
+        ("max-inflight", string_of_int t.t_cfg.cfg_max_inflight);
+        ("workers", string_of_int t.t_cfg.cfg_workers);
+        ("served", string_of_int (Atomic.get t.t_served));
+        ("failed", string_of_int (Atomic.get t.t_failed));
+      ]
+    ()
 
-let handle_request t ~transport ~limits req =
-  match req with
-  | Ping -> (ok ~fields:[ ("pong", "1") ] (), `Continue)
-  | Health ->
-      (* purely additive: a new verb plus response fields, nothing in
-         the existing grammar moves (docs/PROTOCOL.md, "health") *)
-      ( ok
-          ~fields:
-            [
-              ("state", health_state t);
-              ("inflight", string_of_int (Atomic.get t.t_inflight));
-              ("max-inflight", string_of_int t.t_cfg.cfg_max_inflight);
-              ("workers", string_of_int t.t_cfg.cfg_workers);
-              ("served", string_of_int (Atomic.get t.t_served));
-              ("failed", string_of_int (Atomic.get t.t_failed));
-            ]
-          (),
-        `Continue )
-  | Stats ->
-      let s = stats t in
-      let body =
-        String.concat ""
-          (List.map (fun (k, v) -> k ^ "=" ^ v ^ "\n") (stats_fields s))
-      in
-      (* protocol introspection: a pool can refuse a mismatched daemon
-         with a clear diagnostic instead of a decode error *)
-      ( ok
-          ~fields:
-            ([ ("proto", proto); ("transport", transport) ]
-            @ compile_fields s
-            @ session_counter_fields (Session.counters t.t_session))
-          ~body (),
-        `Continue )
-  | Shutdown ->
-      (ok ~fields:[ ("stopping", "1") ] (), `Stop)
-  | Analyze { an_name; an_source; _ } ->
-      (handle_analyze t ~limits ~name:an_name ~source:an_source, `Continue)
-  | Eval { ev_name; ev_source; ev_function; ev_params; _ } ->
-      ( handle_eval t ~limits ~name:ev_name ~source:ev_source
-          ~fname:ev_function ~params:ev_params,
-        `Continue )
-  | Sweep _ ->
-      (* sweeps stream multiple frames and are scheduled by the event
-         loop itself (see [process_payload]); they cannot be answered
-         by this single-response path *)
-      ( error_response ~code:"bad-request"
-          "sweep is only served by the event loop",
-        `Continue )
-  | Watch { wt_path; wt_source } -> (
-      match
-        if wt_source <> "" then Ok wt_source else read_path_file wt_path
-      with
-      | Error m -> (error_response ~code:"io" m, `Continue)
-      | Ok text -> (
-          match Session.watch t.t_session ~path:wt_path text with
-          | Error d -> (diag_response d, `Continue)
-          | Ok info ->
-              ( ok
-                  ~fields:
-                    [
-                      ("path", info.Session.in_path);
-                      ( "functions",
-                        string_of_int (List.length info.Session.in_functions)
-                      );
-                    ]
-                  ~body:(Json.to_string (Json.of_model info.Session.in_model))
-                  (),
-                `Continue )))
-  | Forget { fg_path } ->
-      ( ok
-          ~fields:
-            [
-              ("path", fg_path);
-              ( "forgotten",
-                if Session.forget t.t_session ~path:fg_path then "1" else "0"
-              );
-            ]
-          (),
-        `Continue )
-  | Reanalyze _ ->
-      (* reanalyze streams one frame per invalidated function plus a
-         terminal frame; like sweep it is scheduled by the event loop *)
-      ( error_response ~code:"bad-request"
-          "reanalyze is only served by the event loop",
-        `Continue )
+(* protocol introspection rides along: a pool can refuse a mismatched
+   daemon with a clear diagnostic instead of a decode error *)
+let stats_response t ~transport =
+  let s = stats t in
+  ok
+    ~fields:
+      ([ ("proto", proto); ("transport", transport) ]
+      @ compile_fields s
+      @ session_counter_fields (Session.counters t.t_session))
+    ~body:
+      (String.concat ""
+         (List.map (fun (k, v) -> k ^ "=" ^ v ^ "\n") (stats_fields s)))
+    ()
+
+(* watch/reanalyze with an empty body read the file from the daemon's
+   own filesystem (shared-filesystem deployment); failures are
+   ordinary io-coded error responses, never exceptions.  Only pool
+   workers call this: a path naming a FIFO or a hung mount parks one
+   worker, never the event loop. *)
+let read_source path source =
+  if source <> "" then Ok source
+  else
+    match In_channel.with_open_bin path In_channel.input_all with
+    | s -> Ok s
+    | exception Sys_error m -> Error (error_response ~code:"io" m)
+    | exception Unix.Unix_error (e, _, _) ->
+        Error (error_response ~code:"io" (path ^ ": " ^ Unix.error_message e))
+
+let watch_response t ~path ~source =
+  match read_source path source with
+  | Error r -> r
+  | Ok text -> (
+      match Session.watch t.t_session ~path text with
+      | Error d -> diag_response d
+      | Ok info ->
+          ok
+            ~fields:
+              [
+                ("path", info.Session.in_path);
+                ( "functions",
+                  string_of_int (List.length info.Session.in_functions) );
+              ]
+            ~body:(Json.to_string (Json.of_model info.Session.in_model))
+            ())
+
+let forget_response t ~path =
+  ok
+    ~fields:
+      [
+        ("path", path);
+        ("forgotten", if Session.forget t.t_session ~path then "1" else "0");
+      ]
+    ()
+
+(* One streamed reanalyze frame per invalidated function: the routing
+   fields name the function and why it was invalidated; the body
+   carries its recomputed part summary (the final python needs the
+   assembled model and rides on the terminal frame). *)
+let recompute_frame index (inv : Session.inval) result =
+  let reason = Session.reason_to_string inv.iv_reason in
+  let tag =
+    [
+      ("binding", string_of_int index);
+      ("file", inv.iv_file);
+      ("function", inv.iv_func);
+      ("reason", reason);
+    ]
+  in
+  match result with
+  | Error d ->
+      let base = diag_response d in
+      { base with rs_fields = tag @ base.rs_fields }
+  | Ok (part : Metric_gen.part) ->
+      let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+      ok ~fields:tag
+        ~body:
+          (Json.to_string
+             (Json.Obj
+                [
+                  ("file", Json.Str inv.iv_file);
+                  ("function", Json.Str inv.iv_func);
+                  ("reason", Json.Str reason);
+                  ("source_params", strs part.fp_source_params);
+                  ("arity", Json.Int part.fp_arity);
+                  ( "class",
+                    match part.fp_class with
+                    | None -> Json.Null
+                    | Some c -> Json.Str c );
+                  ("warnings", strs part.fp_warnings);
+                ]))
+        ()
+
+(* the terminal reanalyze frame; the commit received exactly one
+   result per invalidated function *)
+let reanalyze_done_response (upd : Session.update) =
+  let count l = string_of_int (List.length l) in
+  ok
+    ~fields:
+      [
+        ("reanalyze-done", "1");
+        ("path", upd.up_path);
+        ("invalidated", count upd.up_invalidated);
+        ( "recomputed",
+          string_of_int (List.length upd.up_invalidated - upd.up_failed) );
+        ("failed", string_of_int upd.up_failed);
+        ("cross-files", count upd.up_cross_files);
+        ("deleted", count upd.up_deleted);
+        ("clean", if upd.up_clean then "1" else "0");
+      ]
+    ~body:
+      (Json.to_string
+         (Json.Arr
+            (List.map
+               (fun (p, m, py) ->
+                 Json.Obj
+                   [
+                     ("file", Json.Str p);
+                     ("functions", Json.Int (List.length m.Model_ir.functions));
+                     ( "python_digest",
+                       Json.Str (Digest.to_hex (Digest.string py)) );
+                     ("python", Json.Str py);
+                   ])
+               upd.up_models)))
+    ()
+
+let sweep_done_response ~bindings ~succeeded ~failed =
+  ok
+    ~fields:
+      [
+        ("sweep-done", "1");
+        ("bindings", string_of_int bindings);
+        ("ok", string_of_int succeeded);
+        ("failed", string_of_int failed);
+      ]
+    ()
 
 (* ---------- connections: per-connection state machines ---------- *)
 
@@ -1065,8 +1134,8 @@ type conn = {
   mutable cn_want : int;
   mutable cn_stage : rstage;
   cn_wq : wchunk Queue.t;
-  mutable cn_pending : int;  (* dispatched worker jobs unanswered *)
-  mutable cn_serial_busy : bool;  (* an untagged request is in a worker *)
+  mutable cn_pending : int;  (* held units: requests not yet answered *)
+  mutable cn_serial_busy : bool;  (* an untagged request is unanswered *)
   mutable cn_closing : bool;  (* stop reading; close once settled *)
   mutable cn_poisoned : bool;  (* write path is gone: drop writes *)
   mutable cn_dead : bool;  (* descriptor closed *)
@@ -1076,86 +1145,23 @@ type conn = {
 
 (* ---------- worker pool ---------- *)
 
-(* Shared bookkeeping for one in-flight sweep: every binding of the
-   chunk is its own pool job, and the completion that brings [sx_done]
-   to [sx_total] emits the terminal [sweep-done] frame.  All mutation
-   happens on the event-loop thread (process_completions), so plain
-   mutable fields suffice. *)
-type sweep_ctx = {
-  sx_id : string;  (* the sweep's id= tag, echoed on every frame *)
-  sx_total : int;
-  mutable sx_done : int;
-  mutable sx_ok : int;
-  mutable sx_failed : int;
-}
-
-(* Shared bookkeeping for one in-flight reanalyze: planning and the
-   final commit run on the event-loop thread; each invalidated
-   function's recomputation is its own pool job.  Like [sweep_ctx],
-   all mutation of the counters and accumulated results happens on
-   the loop thread (process_completions). *)
-type reanalyze_ctx = {
-  rz_id : string;  (* the reanalyze's id= tag, echoed on every frame *)
-  rz_plan : Session.plan;
-  rz_total : int;
-  mutable rz_done : int;
-  mutable rz_ok : int;
-  mutable rz_failed : int;
-  mutable rz_results : (Session.inval * (Metric_gen.part, Diag.t) result) list;
-      (* accumulated in reverse completion order; commit re-sorts
-         nothing — Session.commit keys by (file, function) *)
-}
-
-type jobwork =
-  | Wreq of request
-  | Wsession of request
-      (* watch/forget: single-response session verbs, serialized
-         daemon-wide by the event loop's session queue *)
-  | Wbinding of {
-      wb_ctx : sweep_ctx;
-      wb_index : int;
-      wb_name : string;
-      wb_source : string;
-      wb_function : string;
-      wb_params : (string * int) list;
-    }
-  | Wrecompute of {
-      wr_ctx : reanalyze_ctx;
-      wr_index : int;
-      wr_inval : Session.inval;
-      mutable wr_result : (Metric_gen.part, Diag.t) result option;
-          (* written by the worker before the job lands on po_done,
-             read by the loop after it is popped — the done-queue
-             mutex orders the two *)
-    }
-
-(* A dispatched request.  The budget is clamped at admission and
-   rides with the job: workers are interchangeable and hold no
-   per-request state between jobs, so the pool — not the request
-   rate — bounds every per-thread structure downstream. *)
-type job = {
-  jb_conn : conn;
-  jb_id : string option;  (* None = untagged (strictly serial) *)
-  jb_work : jobwork;
-  jb_limits : Limits.t;
-}
-
+(* The daemon's one kind of job: a closure run on a pool worker that
+   returns the closure to run on the event-loop thread once the job
+   lands (see [spawn] in {!serve}).  Workers are interchangeable and
+   keep no per-request state between jobs, so the pool, not the
+   request rate, bounds every per-thread structure downstream. *)
 type pool = {
   po_mu : Mutex.t;
   po_cv : Condition.t;
-  po_jobs : job Queue.t;
+  po_jobs : (unit -> unit -> unit) Queue.t;
   mutable po_stop : bool;
   po_done_mu : Mutex.t;
-  po_done : (job * response * [ `Continue | `Stop ]) Queue.t;
+  po_done : (unit -> unit) Queue.t;
   mutable po_closed : bool;  (* wake pipe closed; stop writing to it *)
   po_wake_w : Unix.file_descr;
 }
 
-let count t resp =
-  if resp.rs_status = "ok" then Atomic.incr t.t_served
-  else Atomic.incr t.t_failed
-
-let worker_loop t pool =
+let worker_loop pool =
   let wake = Bytes.make 1 'c' in
   let rec next () =
     Mutex.lock pool.po_mu;
@@ -1166,91 +1172,9 @@ let worker_loop t pool =
     | None -> Mutex.unlock pool.po_mu (* stopping, queue drained *)
     | Some job ->
         Mutex.unlock pool.po_mu;
-        (* one hostile request must never take the daemon down:
-           whatever escapes becomes a structured error frame *)
-        let resp, after =
-          match job.jb_work with
-          | Wreq req | Wsession req -> (
-              try
-                handle_request t ~transport:job.jb_conn.cn_transport
-                  ~limits:job.jb_limits req
-              with e -> (diag_response (Diag.of_exn e), `Continue))
-          | Wrecompute w ->
-              let inv = w.wr_inval in
-              let result =
-                try Session.recompute t.t_session w.wr_ctx.rz_plan inv
-                with e -> Error (Diag.of_exn e)
-              in
-              w.wr_result <- Some result;
-              (* one streamed frame per invalidated function: the
-                 routing fields name the function and why it was
-                 invalidated; the body carries its recomputed part
-                 summary (the final python needs the assembled model
-                 and rides on the terminal frame) *)
-              let tag =
-                [
-                  ("binding", string_of_int w.wr_index);
-                  ("file", inv.Session.iv_file);
-                  ("function", inv.Session.iv_func);
-                  ("reason", Session.reason_to_string inv.Session.iv_reason);
-                ]
-              in
-              let resp =
-                match result with
-                | Ok part ->
-                    ok ~fields:tag
-                      ~body:
-                        (Json.to_string
-                           (Json.Obj
-                              [
-                                ("file", Json.Str inv.Session.iv_file);
-                                ("function", Json.Str inv.Session.iv_func);
-                                ( "reason",
-                                  Json.Str
-                                    (Session.reason_to_string
-                                       inv.Session.iv_reason) );
-                                ( "source_params",
-                                  Json.Arr
-                                    (List.map
-                                       (fun s -> Json.Str s)
-                                       part.Metric_gen.fp_source_params) );
-                                ("arity", Json.Int part.Metric_gen.fp_arity);
-                                ( "class",
-                                  match part.Metric_gen.fp_class with
-                                  | None -> Json.Null
-                                  | Some c -> Json.Str c );
-                                ( "warnings",
-                                  Json.Arr
-                                    (List.map
-                                       (fun s -> Json.Str s)
-                                       part.Metric_gen.fp_warnings) );
-                              ]))
-                      ()
-                | Error d ->
-                    let base = diag_response d in
-                    { base with rs_fields = tag @ base.rs_fields }
-              in
-              (resp, `Continue)
-          | Wbinding b ->
-              let resp =
-                try
-                  handle_eval t ~limits:job.jb_limits ~name:b.wb_name
-                    ~source:b.wb_source ~fname:b.wb_function
-                    ~params:b.wb_params
-                with e -> diag_response (Diag.of_exn e)
-              in
-              (* the binding index is how the coordinator knows which
-                 evaluation this frame answers *)
-              ( {
-                  resp with
-                  rs_fields =
-                    ("binding", string_of_int b.wb_index) :: resp.rs_fields;
-                },
-                `Continue )
-        in
-        count t resp;
+        let landing = job () in
         Mutex.lock pool.po_done_mu;
-        Queue.add (job, resp, after) pool.po_done;
+        Queue.add landing pool.po_done;
         (* wake the event loop; a full pipe already has wake bytes in
            it, so a failed write is never a lost wakeup *)
         if not pool.po_closed then (
@@ -1261,15 +1185,16 @@ let worker_loop t pool =
   in
   next ()
 
+(* a job's outcome as one response: whatever escaped the job is a
+   structured error frame, never a dead daemon *)
+let response_of = function Ok r -> r | Error d -> diag_response d
+
 (* ---------- load shedding ---------- *)
 
 let shed t fd =
   Atomic.incr t.t_shed;
-  let payload = encode_response overloaded_response in
   let payload =
-    match t.t_cfg.cfg_auth_secret with
-    | Some secret -> Auth.seal ~secret payload
-    | None -> payload
+    seal t.t_cfg.cfg_auth_secret (encode_response overloaded_response)
   in
   (* the frame is far smaller than a fresh socket buffer, so this
      cannot block even on a client that never reads *)
@@ -1309,7 +1234,7 @@ let serve t =
     }
   in
   for _ = 1 to max 1 cfg.cfg_workers do
-    ignore (Thread.create (worker_loop t) pool)
+    ignore (Thread.create worker_loop pool)
   done;
   Atomic.set t.t_ready true;
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 64 in
@@ -1366,14 +1291,7 @@ let serve t =
   in
   let enqueue_payload conn payload =
     if (not conn.cn_dead) && not conn.cn_poisoned then begin
-      (* a secret-bearing daemon seals everything it sends, so clients
-         can authenticate responses symmetrically; without a secret the
-         bytes are identical to every earlier release *)
-      let payload =
-        match cfg.cfg_auth_secret with
-        | Some secret -> Auth.seal ~secret payload
-        | None -> payload
-      in
+      let payload = seal cfg.cfg_auth_secret payload in
       let data = frame payload in
       let chunk ?(not_before = 0.0) ?(shutdown_after = false) s =
         Queue.add
@@ -1385,326 +1303,231 @@ let serve t =
           }
           conn.cn_wq
       in
-      let faults = cfg.cfg_faults in
-      (* same sites, same subjects, same order as the blocking
-         write_frame: fault schedules are identical across server
-         implementations *)
-      let subject = Digest.to_hex (Digest.string payload) in
-      let fires p site =
-        match faults with
-        | Some f -> Faults.fires f ~p:(p f) ~site ~subject
-        | None -> false
+      let poison () =
+        conn.cn_poisoned <- true;
+        conn.cn_closing <- true
       in
       if Queue.is_empty conn.cn_wq then
         conn.cn_wstall <- Unix.gettimeofday ();
-      if fires (fun f -> f.Faults.kill_p) "net_kill" then begin
-        (* abrupt death between frames: this frame — and anything still
-           queued behind the kernel's back — never reaches the peer,
-           exactly as a SIGKILLed daemon would behave.  Same site,
-           subject and ordering as the blocking write_frame. *)
-        Queue.clear conn.cn_wq;
-        (try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL
-         with Unix.Unix_error _ -> ());
-        conn.cn_poisoned <- true;
-        conn.cn_closing <- true
-      end
-      else if fires (fun f -> f.Faults.disconnect_p) "net_disconnect" then begin
-        (* the peer vanishes mid-frame: half a frame, then a hard
-           close *)
-        chunk ~shutdown_after:true
-          (String.sub data 0 (String.length data / 2));
-        conn.cn_poisoned <- true;
-        conn.cn_closing <- true
-      end
-      else if fires (fun f -> f.Faults.net_write_p) "net_write" then begin
-        (* a dropped/short write: the frame just stops *)
-        chunk (String.sub data 0 (String.length data / 2));
-        conn.cn_poisoned <- true;
-        conn.cn_closing <- true
-      end
-      else if
-        (match faults with Some f -> f.Faults.slow_ms > 0 | None -> false)
-        && fires (fun f -> f.Faults.slow_p) "net_slow"
-      then begin
-        (* a slow peer: the header arrives, the payload dribbles in
-           later — without parking a thread for the interval *)
-        let slow_ms =
-          match faults with Some f -> f.Faults.slow_ms | None -> 0
-        in
-        chunk (String.sub data 0 header_len);
-        chunk
-          ~not_before:(Unix.gettimeofday () +. (float_of_int slow_ms /. 1000.0))
-          (String.sub data header_len (String.length data - header_len))
-      end
-      else chunk data;
+      (match wire_fault cfg.cfg_faults payload with
+      | Clean -> chunk data
+      | Kill ->
+          (* this frame, and anything still queued behind the kernel's
+             back, never reaches the peer *)
+          Queue.clear conn.cn_wq;
+          (try Unix.shutdown conn.cn_fd Unix.SHUTDOWN_ALL
+           with Unix.Unix_error _ -> ());
+          poison ()
+      | Disconnect ->
+          chunk ~shutdown_after:true (first_half data);
+          poison ()
+      | Short_write ->
+          chunk (first_half data);
+          poison ()
+      | Slow s ->
+          (* without parking a thread for the interval *)
+          chunk (String.sub data 0 header_len);
+          chunk ~not_before:(Unix.gettimeofday () +. s) (after_header data));
       pump_writes conn
     end
   in
-  let with_id id resp =
-    { resp with rs_fields = ("id", id) :: resp.rs_fields }
+  (* every answered frame is counted, once, here *)
+  let send conn id resp =
+    if resp.rs_status = "ok" then Atomic.incr t.t_served
+    else Atomic.incr t.t_failed;
+    enqueue_payload conn
+      (encode_response
+         (match id with
+         | Some i -> { resp with rs_fields = ("id", i) :: resp.rs_fields }
+         | None -> resp))
   in
-  let respond conn id resp =
-    let resp = match id with Some i -> with_id i resp | None -> resp in
-    enqueue_payload conn (encode_response resp)
+  (* A request holds one pending unit on its connection until its last
+     frame is sent: an analyze, an eval, a session op, or a whole sweep
+     however many frames it streams.  [cfg_max_pipeline] units stop the
+     reader, and an untagged request stops it alone (strictly serial);
+     otherwise the reader keeps consuming, so a heartbeat ping sent
+     while a long sweep streams is answered at once. *)
+  let hold conn id =
+    conn.cn_pending <- conn.cn_pending + 1;
+    if id = None then conn.cn_serial_busy <- true
   in
-  let handle_inline conn req =
-    try
-      handle_request t ~transport:conn.cn_transport ~limits:cfg.cfg_limits req
-    with e -> (diag_response (Diag.of_exn e), `Continue)
+  let release conn id =
+    conn.cn_pending <- conn.cn_pending - 1;
+    if id = None then conn.cn_serial_busy <- false;
+    maybe_close conn
   in
-  let enqueue_job job =
+  (* [spawn work landing]: [work] runs on a pool worker, then
+     [landing] on this thread with its result, or with the diagnostic
+     of whatever [work] raised *)
+  let spawn work landing =
+    let job () =
+      let r = try Ok (work ()) with e -> Error (Diag.of_exn e) in
+      fun () -> landing r
+    in
     Mutex.lock pool.po_mu;
     Queue.add job pool.po_jobs;
     Condition.signal pool.po_cv;
     Mutex.unlock pool.po_mu
   in
-  let submit conn id req =
-    conn.cn_pending <- conn.cn_pending + 1;
-    (match id with None -> conn.cn_serial_busy <- true | Some _ -> ());
-    enqueue_job
-      { jb_conn = conn; jb_id = id; jb_work = Wreq req;
-        jb_limits = request_limits cfg req }
+  (* a held request answered by one frame computed on the pool *)
+  let answer ?(after = ignore) conn id work =
+    spawn work (fun r ->
+        send conn id (response_of r);
+        release conn id;
+        after ())
   in
-  let sweep_done_response ctx =
-    ok
-      ~fields:
-        [
-          ("sweep-done", "1");
-          ("bindings", string_of_int ctx.sx_total);
-          ("ok", string_of_int ctx.sx_ok);
-          ("failed", string_of_int ctx.sx_failed);
-        ]
-      ()
-  in
-  (* A whole sweep chunk counts as ONE pending unit on its connection
-     (decremented when the terminal frame is emitted): admission stays
-     bounded by [cfg_max_pipeline] sweeps, but the reader keeps
-     consuming — so a heartbeat ping sent while a long chunk runs is
-     answered inline immediately, which is what makes client-side
-     liveness detection work.  The analysis pool still bounds the
-     actual concurrency; per-binding jobs just queue. *)
-  let submit_sweep conn id sw_sources sw_bindings limits =
-    let ctx =
-      {
-        sx_id = id;
-        sx_total = List.length sw_bindings;
-        sx_done = 0;
-        sx_ok = 0;
-        sx_failed = 0;
-      }
+  (* Each binding of a sweep chunk is its own pool job, and the one
+     that completes the chunk sends the terminal [sweep-done] frame. *)
+  let sweep conn id sources bindings limits =
+    let total = List.length bindings in
+    let succeeded = ref 0 and failed = ref 0 in
+    let done_frame () =
+      sweep_done_response ~bindings:total ~succeeded:!succeeded ~failed:!failed
     in
-    if ctx.sx_total = 0 then begin
-      let resp = sweep_done_response ctx in
-      count t resp;
-      respond conn (Some id) resp
-    end
+    if total = 0 then send conn id (done_frame ())
     else begin
-      conn.cn_pending <- conn.cn_pending + 1;
+      hold conn id;
       List.iter
         (fun sb ->
-          enqueue_job
-            {
-              jb_conn = conn;
-              jb_id = Some id;
-              jb_work =
-                Wbinding
-                  {
-                    wb_ctx = ctx;
-                    wb_index = sb.sb_index;
-                    wb_name = sb.sb_source;
-                    wb_source = List.assoc sb.sb_source sw_sources;
-                    wb_function = sb.sb_function;
-                    wb_params = sb.sb_params;
-                  };
-              jb_limits = limits;
-            })
-        sw_bindings
+          spawn
+            (fun () ->
+              handle_eval t ~limits ~name:sb.sb_source
+                ~source:(List.assoc sb.sb_source sources)
+                ~fname:sb.sb_function ~params:sb.sb_params)
+            (fun r ->
+              let r = response_of r in
+              incr (if r.rs_status = "ok" then succeeded else failed);
+              (* the binding index is how the coordinator knows which
+                 evaluation this frame answers *)
+              send conn id
+                {
+                  r with
+                  rs_fields =
+                    ("binding", string_of_int sb.sb_index) :: r.rs_fields;
+                };
+              if !succeeded + !failed = total then begin
+                send conn id (done_frame ());
+                release conn id
+              end))
+        bindings
     end
   in
   (* Session verbs (watch / reanalyze / forget) serialize daemon-wide:
      one at a time, FIFO across connections, so pipelined edits always
      observe a consistent session snapshot and two overlapping
-     reanalyzes can never interleave their commits.  Each op counts as
-     ONE pending unit on its connection (exactly like a sweep chunk);
-     the reader keeps consuming, so heartbeats stay answered while a
-     reanalyze streams.  A reanalyze's per-function recomputations run
-     concurrently on the analysis pool — only the verbs themselves are
-     serialized. *)
-  let session_q : (conn * string option * request) Queue.t =
-    Queue.create ()
+     reanalyzes can never interleave their commits.  Each op holds its
+     connection's unit from the moment it queues. *)
+  let session_q = Queue.create () and session_busy = ref false in
+  let rec next_session () =
+    if not !session_busy then
+      match Queue.take_opt session_q with
+      | None -> ()
+      | Some (conn, _) when conn.cn_dead ->
+          (* the submitter hung up before its turn *)
+          next_session ()
+      | Some (_, op) ->
+          session_busy := true;
+          op ()
   in
-  let session_busy = ref false in
-  let reanalyze_done_response ctx (upd : Session.update) =
-    ok
-      ~fields:
-        [
-          ("reanalyze-done", "1");
-          ("path", upd.Session.up_path);
-          ("invalidated", string_of_int (List.length upd.Session.up_invalidated));
-          ("recomputed", string_of_int ctx.rz_ok);
-          ("failed", string_of_int ctx.rz_failed);
-          ("cross-files", string_of_int (List.length upd.Session.up_cross_files));
-          ("deleted", string_of_int (List.length upd.Session.up_deleted));
-          ("clean", if upd.Session.up_clean then "1" else "0");
-        ]
-      ~body:
-        (Json.to_string
-           (Json.Arr
-              (List.map
-                 (fun (p, m, py) ->
-                   Json.Obj
-                     [
-                       ("file", Json.Str p);
-                       ( "functions",
-                         Json.Int (List.length m.Model_ir.functions) );
-                       ( "python_digest",
-                         Json.Str (Digest.to_hex (Digest.string py)) );
-                       ("python", Json.Str py);
-                     ])
-                 upd.Session.up_models)))
-      ()
-  in
-  let rec pump_session () =
-    if (not !session_busy) && not (Queue.is_empty session_q) then begin
-      let conn, id, req = Queue.pop session_q in
-      session_busy := true;
-      if conn.cn_dead then begin
-        (* the submitter hung up before its turn: release the slot and
-           let the next queued op run *)
-        session_busy := false;
-        pump_session ()
-      end
-      else
-        match req with
-        | Reanalyze { rz_path; rz_source } ->
-            start_reanalyze conn id rz_path rz_source
-        | req ->
-            enqueue_job
-              {
-                jb_conn = conn;
-                jb_id = id;
-                jb_work = Wsession req;
-                jb_limits = request_limits cfg req;
-              }
-    end
-  and finish_session () =
+  let session_done () =
     session_busy := false;
-    pump_session ()
-  (* answer a session op from the loop thread itself (plan failures,
-     clean edits): settle the connection accounting that submission
-     charged, then release the session slot *)
-  and answer_session conn id resp =
-    count t resp;
-    conn.cn_pending <- conn.cn_pending - 1;
-    (match id with None -> conn.cn_serial_busy <- false | Some _ -> ());
-    if not conn.cn_dead then respond conn id resp;
-    maybe_close conn;
-    finish_session ()
-  and start_reanalyze conn id path source =
-    match if source <> "" then Ok source else read_path_file path with
-    | Error m -> answer_session conn id (error_response ~code:"io" m)
-    | Ok text -> (
-        match Session.plan t.t_session ~path text with
-        | Error d -> answer_session conn id (diag_response d)
-        | Ok plan -> (
+    next_session ()
+  in
+  let session conn id op =
+    hold conn id;
+    Queue.add (conn, op) session_q;
+    next_session ()
+  in
+  (* A reanalyze runs as pool jobs end to end: the file read and the
+     plan, one recomputation per invalidated function (their frames
+     stream as they land), then the commit, whose terminal frame ends
+     the op. *)
+  let reanalyze conn id path source =
+    let finish r =
+      send conn id r;
+      release conn id;
+      session_done ()
+    in
+    let commit plan results =
+      spawn
+        (fun () ->
+          reanalyze_done_response (Session.commit t.t_session plan results))
+        (fun r -> finish (response_of r))
+    in
+    spawn
+      (fun () ->
+        Result.bind (read_source path source) (fun text ->
+            Session.plan t.t_session ~path text
+            |> Result.map_error diag_response))
+      (function
+        | Error d -> finish (diag_response d)
+        | Ok (Error r) -> finish r
+        | Ok (Ok plan) -> (
             match Session.plan_invalidated plan with
-            | [] ->
-                (* nothing to recompute — commit still refreshes the
-                   edited file's tables (and handles deletions) *)
-                let upd = Session.commit t.t_session plan [] in
-                let ctx =
-                  {
-                    rz_id = Option.value id ~default:"";
-                    rz_plan = plan;
-                    rz_total = 0;
-                    rz_done = 0;
-                    rz_ok = 0;
-                    rz_failed = 0;
-                    rz_results = [];
-                  }
-                in
-                answer_session conn id (reanalyze_done_response ctx upd)
+            | [] -> commit plan []
             | invals ->
-                let ctx =
-                  {
-                    rz_id = Option.value id ~default:"";
-                    rz_plan = plan;
-                    rz_total = List.length invals;
-                    rz_done = 0;
-                    rz_ok = 0;
-                    rz_failed = 0;
-                    rz_results = [];
-                  }
-                in
+                let results = ref [] and left = ref (List.length invals) in
                 List.iteri
                   (fun i inv ->
-                    enqueue_job
-                      {
-                        jb_conn = conn;
-                        jb_id = id;
-                        jb_work =
-                          Wrecompute
-                            {
-                              wr_ctx = ctx;
-                              wr_index = i;
-                              wr_inval = inv;
-                              wr_result = None;
-                            };
-                        jb_limits = cfg.cfg_limits;
-                      })
+                    spawn
+                      (fun () -> Session.recompute t.t_session plan inv)
+                      (fun r ->
+                        let r = Result.join r in
+                        results := (inv, r) :: !results;
+                        send conn id (recompute_frame i inv r);
+                        decr left;
+                        if !left = 0 then commit plan !results))
                   invals))
   in
-  let submit_session conn id req =
-    conn.cn_pending <- conn.cn_pending + 1;
-    (match id with None -> conn.cn_serial_busy <- true | Some _ -> ());
-    Queue.add (conn, id, req) session_q;
-    pump_session ()
-  in
+  (* The one dispatch over verbs.  Cheap verbs are answered right here
+     on the loop, so a ping never waits behind a stalled analysis;
+     everything else runs on the pool. *)
   let process_request conn payload =
     let id = payload_id payload in
     match parse_request payload with
-    | Error m ->
-        let resp = error_response ~code:"bad-request" m in
-        count t resp;
-        respond conn id resp
+    | Error m -> send conn id (error_response ~code:"bad-request" m)
     | Ok req -> (
-        match (id, req) with
-        | Some i, Shutdown ->
+        match (req, id) with
+        | Ping, _ -> send conn id (ok ~fields:[ ("pong", "1") ] ())
+        | Health, _ -> send conn id (health_response t)
+        | Stats, _ ->
+            send conn id (stats_response t ~transport:conn.cn_transport)
+        | Shutdown, _ ->
             (* exactly-once doesn't mix with concurrency: shutdown is
                answered in-line even when tagged *)
-            let resp, _ = handle_inline conn Shutdown in
-            count t resp;
-            respond conn (Some i) resp;
+            send conn id (ok ~fields:[ ("stopping", "1") ] ());
             stop t
-        | _, (Ping | Stats | Health) | None, Shutdown ->
-            (* cheap verbs are answered in the loop itself: a ping
-               never waits behind a stalled analysis *)
-            let resp, after = handle_inline conn req in
-            count t resp;
-            respond conn id resp;
-            (match after with `Stop -> stop t | `Continue -> ())
-        | _, (Analyze _ | Eval _) -> submit conn id req
-        | _, (Watch _ | Forget _) | Some _, Reanalyze _ ->
-            submit_session conn id req
-        | None, Reanalyze _ ->
-            let resp =
-              error_response ~code:"bad-request"
-                "reanalyze requires an id= field (its responses stream)"
-            in
-            count t resp;
-            respond conn None resp
-        | Some i, Sweep { sw_sources; sw_bindings; _ } ->
-            submit_sweep conn i sw_sources sw_bindings
-              (request_limits cfg req)
-        | None, Sweep _ ->
+        | Analyze { an_name; an_source; an_budget }, _ ->
+            let limits = request_limits cfg an_budget in
+            hold conn id;
+            answer conn id (fun () ->
+                handle_analyze t ~limits ~name:an_name ~source:an_source)
+        | Eval { ev_name; ev_source; ev_function; ev_params; ev_budget }, _ ->
+            let limits = request_limits cfg ev_budget in
+            hold conn id;
+            answer conn id (fun () ->
+                handle_eval t ~limits ~name:ev_name ~source:ev_source
+                  ~fname:ev_function ~params:ev_params)
+        | Sweep { sw_sources; sw_bindings; sw_budget }, Some _ ->
+            sweep conn id sw_sources sw_bindings (request_limits cfg sw_budget)
+        | Watch { wt_path; wt_source }, _ ->
+            session conn id (fun () ->
+                answer ~after:session_done conn id (fun () ->
+                    watch_response t ~path:wt_path ~source:wt_source))
+        | Forget { fg_path }, _ ->
+            session conn id (fun () ->
+                answer ~after:session_done conn id (fun () ->
+                    forget_response t ~path:fg_path))
+        | Reanalyze { rz_path; rz_source }, Some _ ->
+            session conn id (fun () -> reanalyze conn id rz_path rz_source)
+        | (Sweep _ | Reanalyze _), None ->
             (* streamed responses are meaningless without a tag to
                re-associate them *)
-            let resp =
-              error_response ~code:"bad-request"
-                "sweep requires an id= field (its responses stream)"
-            in
-            count t resp;
-            respond conn None resp)
+            send conn None
+              (error_response ~code:"bad-request"
+                 (Printf.sprintf
+                    "%s requires an id= field (its responses stream)"
+                    (match req with Sweep _ -> "sweep" | _ -> "reanalyze"))))
   in
   let process_payload conn payload =
     match cfg.cfg_auth_secret with
@@ -1722,14 +1545,11 @@ let serve t =
                parser or the analysis pool: answer with a structured
                error and drop the connection *)
             Atomic.incr t.t_proto_err;
-            let resp =
-              error_response ~code:"auth"
-                (match why with
-                | `Missing -> "frame authentication required (no auth= field)"
-                | `Bad -> "frame authentication failed (bad MAC)")
-            in
-            count t resp;
-            respond conn (payload_id payload) resp;
+            send conn (payload_id payload)
+              (error_response ~code:"auth"
+                 (match why with
+                 | `Missing -> "frame authentication required (no auth= field)"
+                 | `Bad -> "frame authentication failed (bad MAC)"));
             conn.cn_closing <- true;
             maybe_close conn)
   in
@@ -1888,77 +1708,14 @@ let serve t =
     go ()
   in
   let process_completions () =
-    let items =
+    let landed =
       Mutex.lock pool.po_done_mu;
-      let acc = Queue.fold (fun acc x -> x :: acc) [] pool.po_done in
+      let l = List.of_seq (Queue.to_seq pool.po_done) in
       Queue.clear pool.po_done;
       Mutex.unlock pool.po_done_mu;
-      List.rev acc
+      l
     in
-    List.iter
-      (fun (job, resp, after) ->
-        let conn = job.jb_conn in
-        (match job.jb_work with
-        | Wreq _ ->
-            conn.cn_pending <- conn.cn_pending - 1;
-            (match job.jb_id with
-            | None -> conn.cn_serial_busy <- false
-            | Some _ -> ());
-            if not conn.cn_dead then respond conn job.jb_id resp
-        | Wsession _ ->
-            conn.cn_pending <- conn.cn_pending - 1;
-            (match job.jb_id with
-            | None -> conn.cn_serial_busy <- false
-            | Some _ -> ());
-            if not conn.cn_dead then respond conn job.jb_id resp;
-            (* the daemon-wide session slot frees only when the op's
-               single response has been produced *)
-            finish_session ()
-        | Wrecompute w ->
-            let ctx = w.wr_ctx in
-            if not conn.cn_dead then respond conn job.jb_id resp;
-            let result =
-              match w.wr_result with
-              | Some r -> r
-              | None ->
-                  Error
-                    (Diag.make Diag.Driver Diag.Internal_error
-                       "recompute finished without a result")
-            in
-            (match result with
-            | Ok _ -> ctx.rz_ok <- ctx.rz_ok + 1
-            | Error _ -> ctx.rz_failed <- ctx.rz_failed + 1);
-            ctx.rz_results <- (w.wr_inval, result) :: ctx.rz_results;
-            ctx.rz_done <- ctx.rz_done + 1;
-            if ctx.rz_done = ctx.rz_total then begin
-              (* last recomputation landed: commit (reassemble every
-                 touched model) and emit the terminal frame *)
-              let upd =
-                Session.commit t.t_session ctx.rz_plan
-                  (List.rev ctx.rz_results)
-              in
-              conn.cn_pending <- conn.cn_pending - 1;
-              let term = reanalyze_done_response ctx upd in
-              count t term;
-              if not conn.cn_dead then respond conn (Some ctx.rz_id) term;
-              finish_session ()
-            end
-        | Wbinding { wb_ctx = ctx; _ } ->
-            (* the sweep holds its single pending unit until the last
-               binding lands; only then does the terminal frame go out
-               and the unit release *)
-            if not conn.cn_dead then respond conn job.jb_id resp;
-            if resp.rs_status = "ok" then ctx.sx_ok <- ctx.sx_ok + 1
-            else ctx.sx_failed <- ctx.sx_failed + 1;
-            ctx.sx_done <- ctx.sx_done + 1;
-            if ctx.sx_done = ctx.sx_total then begin
-              conn.cn_pending <- conn.cn_pending - 1;
-              if not conn.cn_dead then
-                respond conn (Some ctx.sx_id) (sweep_done_response ctx)
-            end);
-        (match after with `Stop -> stop t | `Continue -> ());
-        maybe_close conn)
-      items
+    List.iter (fun landing -> landing ()) landed
   in
   let drained = ref false in
   let drain_deadline = ref infinity in
@@ -2130,29 +1887,39 @@ let serve t =
 let connect ?io_timeout_ms path =
   Endpoint.connect ?io_timeout_ms (Endpoint.Unix_sock path)
 
+(* The one sealed send and receive every client path shares: with a
+   secret, requests go out sealed and only sealed responses are
+   accepted, since a secret-bearing daemon seals everything it sends. *)
+let send ?faults ?auth_secret ?id fd req =
+  write_frame ?faults fd (seal auth_secret (encode_request ?id req))
+
+let recv ?max_bytes ?auth_secret fd =
+  match read_frame ?max_bytes fd with
+  | Error Timed_out -> Error `Timeout
+  | Error e -> Error (`Failed (frame_error_to_string e))
+  | Ok payload -> (
+      let payload =
+        match auth_secret with
+        | None -> Ok payload
+        | Some secret -> (
+            match Auth.verify ~secret payload with
+            | `Ok stripped -> Ok stripped
+            | `Missing | `Bad -> Error "response failed authentication")
+      in
+      match Result.bind payload parse_response with
+      | Ok r -> Ok r
+      | Error m -> Error (`Failed m))
+
 let roundtrip ?faults ?max_bytes ?auth_secret fd req =
-  let payload = encode_request req in
-  let payload =
-    match auth_secret with
-    | Some secret -> Auth.seal ~secret payload
-    | None -> payload
-  in
-  match write_frame ?faults fd payload with
+  match send ?faults ?auth_secret fd req with
   | exception Unix.Unix_error (e, _, _) ->
       Error ("write: " ^ Unix.error_message e)
   | exception Faults.Injected site -> Error ("injected: " ^ site)
   | () -> (
-      match read_frame ?max_bytes fd with
-      | Error e -> Error (frame_error_to_string e)
-      | Ok payload -> (
-          match auth_secret with
-          | None -> parse_response payload
-          | Some secret -> (
-              (* a secret-bearing daemon seals every response; accept
-                 nothing less than a valid MAC *)
-              match Auth.verify ~secret payload with
-              | `Ok stripped -> parse_response stripped
-              | `Missing | `Bad -> Error "response failed authentication")))
+      match recv ?max_bytes ?auth_secret fd with
+      | Ok r -> Ok r
+      | Error `Timeout -> Error (frame_error_to_string Timed_out)
+      | Error (`Failed m) -> Error m)
 
 let wait_ready ?(timeout_s = 5.0) path =
   let deadline = Unix.gettimeofday () +. timeout_s in

@@ -64,9 +64,9 @@ type config = {
   cfg_drain_ms : int;
       (** hard deadline for the graceful-shutdown drain *)
   cfg_workers : int;
-      (** analysis worker threads: analyze/eval requests run on this
-          fixed pool, so concurrent analyses are bounded by the pool,
-          not by connection or request count *)
+      (** worker threads: every request but the inline verbs runs on
+          this fixed pool, so concurrent analyses are bounded by the
+          pool, not by connection or request count *)
   cfg_level : Mira_codegen.Codegen.level;
   cfg_limits : Limits.t;  (** per-request budget ceiling *)
   cfg_cache : Batch.cache option;  (** the warm cache, shared by all requests *)
@@ -290,10 +290,14 @@ val serve : t -> server_stats
 (** Run the event loop in the calling thread until {!stop} (or a
     [shutdown] request) and the drain complete; returns the final
     stats.  All sockets are serviced by one poller here — an idle
-    connection costs a descriptor, not a thread — while analyze/eval
-    requests run on the [cfg_workers] pool and reuse the shared
-    cache; ping/stats/shutdown are answered inline by the loop.  See
-    "Server concurrency model" in [docs/PROTOCOL.md]. *)
+    connection costs a descriptor, not a thread.  Ping, health, stats
+    and shutdown are answered inline by the loop; all other work runs
+    as jobs on the [cfg_workers] pool and reuses the shared cache:
+    analyze, eval, each sweep binding, watch and forget, and a
+    reanalyze's file read and plan, its recomputations and its
+    commit.  The loop itself does no file I/O and no analysis, so no
+    request can stall it.  See "Server concurrency model" in
+    [docs/PROTOCOL.md]. *)
 
 val stats : t -> server_stats
 (** A live snapshot (what a [stats] request returns). *)
@@ -313,6 +317,29 @@ val connect : ?io_timeout_ms:int -> string -> Unix.file_descr
     (roundtrip) instead of hanging the client forever.  [0] (the
     default) keeps the descriptor fully blocking. *)
 
+val send :
+  ?faults:Faults.t ->
+  ?auth_secret:string ->
+  ?id:string ->
+  Unix.file_descr ->
+  request ->
+  unit
+(** Encode one request ({!encode_request}), seal it with
+    [auth_secret] ({!Auth.seal}) and write it ({!write_frame}, which
+    applies [faults]).  Raises as {!write_frame} does. *)
+
+val recv :
+  ?max_bytes:int ->
+  ?auth_secret:string ->
+  Unix.file_descr ->
+  (response, [ `Timeout | `Failed of string ]) result
+(** Read, verify and parse one response frame.  With [auth_secret]
+    only a sealed response with a valid MAC is accepted, since a
+    secret-bearing daemon seals everything it sends.  [`Timeout] is
+    the socket timeout expiring before a whole frame arrived (what a
+    pipelined reader or a heartbeat waits out); [`Failed] is every
+    other failure, described. *)
+
 val roundtrip :
   ?faults:Faults.t ->
   ?max_bytes:int ->
@@ -320,10 +347,9 @@ val roundtrip :
   Unix.file_descr ->
   request ->
   (response, string) result
-(** One request/response exchange on an open connection.  With
-    [auth_secret] the request is sealed ({!Auth.seal}) and the
-    response must verify — a secret-bearing daemon seals everything it
-    sends.  Not suitable for [Sweep] (multiple response frames). *)
+(** One request/response exchange on an open connection: {!send}
+    then {!recv}.  Not suitable for [Sweep] or [Reanalyze] (multiple
+    response frames). *)
 
 val wait_ready : ?timeout_s:float -> string -> bool
 (** Poll [connect]+[ping] until the daemon answers (for scripts and

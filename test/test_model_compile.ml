@@ -394,7 +394,7 @@ let with_server f =
       try Sys.remove socket with Sys_error _ -> ())
     (fun () ->
       Alcotest.(check bool) "daemon is up" true (Serve.wait_ready socket);
-      f socket)
+      f server socket)
 
 let request socket req =
   let fd = Serve.connect socket in
@@ -423,7 +423,7 @@ let eval_req ?(n = 1000) () =
     }
 
 let test_serve_compile_counters () =
-  with_server (fun socket ->
+  with_server (fun _ socket ->
       let r1 = request socket (eval_req ()) in
       Alcotest.(check string) "first eval ok" "ok" r1.Serve.rs_status;
       (* the served numbers are the compiled path's; pin them to the
@@ -463,7 +463,7 @@ let deferred_source j =
     j
 
 let test_serve_distinct_deferred_sources () =
-  with_server (fun socket ->
+  with_server (fun _ socket ->
       let eval source =
         let r =
           request socket
@@ -496,6 +496,50 @@ let test_serve_distinct_deferred_sources () =
                 expected)
         [ ("fpi", Model_eval.fpi counts); ("total", Model_eval.total counts) ])
 
+(* Every frame the daemon answers counts once in [served] or [failed]:
+   an all-ok sweep of N bindings adds its N binding frames and its
+   terminal frame. *)
+let test_serve_sweep_counts () =
+  with_server (fun server socket ->
+      let served () = (Serve.stats server).Serve.sv_served in
+      let n = 5 in
+      let before = served () in
+      let fd = Serve.connect socket in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          Serve.write_frame fd
+            (Serve.encode_request ~id:"sw"
+               (Serve.Sweep
+                  {
+                    sw_sources = [ ("stream.mc", Corpus.stream) ];
+                    sw_bindings =
+                      List.init n (fun i ->
+                          {
+                            Serve.sb_index = i;
+                            sb_source = "stream.mc";
+                            sb_function = "stream_triad";
+                            sb_params = [ ("n", 100 * (i + 1)) ];
+                          });
+                    sw_budget = Serve.no_budget;
+                  }));
+          let rec drain frames =
+            match Serve.read_frame fd with
+            | Error e ->
+                Alcotest.failf "sweep stream died: %s"
+                  (Serve.frame_error_to_string e)
+            | Ok payload -> (
+                match Serve.parse_response payload with
+                | Error m -> Alcotest.failf "bad frame: %s" m
+                | Ok r ->
+                    Alcotest.(check string) "frame ok" "ok" r.Serve.rs_status;
+                    if Serve.field r "sweep-done" = Some "1" then frames + 1
+                    else drain (frames + 1))
+          in
+          Alcotest.(check int) "N binding frames and the terminal" (n + 1)
+            (drain 0));
+      Alcotest.(check int) "served grew by N+1" (n + 1) (served () - before))
+
 let () =
   Alcotest.run "model-compile"
     [
@@ -524,5 +568,7 @@ let () =
           Alcotest.test_case
             "sources differing in a deferred count get their own counts"
             `Quick test_serve_distinct_deferred_sources;
+          Alcotest.test_case "a sweep counts every frame it sends" `Quick
+            test_serve_sweep_counts;
         ] );
     ]

@@ -18,6 +18,10 @@
      ([co_daemons_lost]), then revived by its half-open probe when a
      daemon comes up mid-sweep, and rejoins ([co_revived]) — every
      binding still answered exactly once;
+   - coordinator timeouts: against a listener that never answers, the
+     chunk deadline ends every read even with the heartbeat off, or
+     when it is nearer than the heartbeat, and the revival probe is
+     bounded too, so [run] returns;
    - the supervised fleet, over real processes: [mira supervise] runs
      three daemons; one is SIGKILLed mid-sweep and then SIGKILLed
      again after its restart; both generations are respawned, the
@@ -446,6 +450,84 @@ let revival_tests =
                   results)));
   ]
 
+(* ---------- coordinator timeouts ---------- *)
+
+(* Run [f] on its own thread and wait at most [seconds] for it, so a
+   coordinator that hangs fails its case instead of the whole suite
+   (the stuck thread ends with the test process). *)
+let within ~seconds what f =
+  let result = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+       ());
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get result with
+    | Some (Ok v) -> v
+    | Some (Error e) -> raise e
+    | None ->
+        if Unix.gettimeofday () > deadline then
+          Alcotest.failf "%s did not return within %.1f s" what seconds
+        else begin
+          Unix.sleepf 0.02;
+          wait ()
+        end
+  in
+  wait ()
+
+(* a bound TCP listener that never accepts: connects land in its
+   backlog and nothing is ever answered *)
+let with_silent_listener f =
+  let fd, ep = Endpoint.listen (Endpoint.Tcp ("127.0.0.1", 0)) in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> f ep)
+
+let timeout_tests =
+  let open Alcotest in
+  [
+    test_case "heartbeat 0: the chunk deadline still ends a silent read"
+      `Quick (fun () ->
+        with_silent_listener (fun ep ->
+            let n = 4 in
+            let _, stats =
+              within ~seconds:2.0 "run against a silent listener" (fun () ->
+                  Coordinator.run ~heartbeat_ms:0 ~deadline_ms:200 ~retries:0
+                    [ ep ] (coordinator_bindings n))
+            in
+            check (list int) "every binding unfinished" (List.init n Fun.id)
+              stats.Coordinator.co_unfinished));
+    test_case "heartbeat 0: a silent endpoint beside a live daemon" `Quick
+      (fun () ->
+        with_silent_listener (fun silent ->
+            with_daemon [ unix_ep () ] (fun ~eps _server ->
+                let n = 16 in
+                let results, stats =
+                  within ~seconds:5.0 "run beside a silent listener"
+                    (fun () ->
+                      Coordinator.run ~chunk:4 ~heartbeat_ms:0 ~deadline_ms:200
+                        ~retries:1 (silent :: eps) (coordinator_bindings n))
+                in
+                check int "every binding finished" n
+                  stats.Coordinator.co_finished;
+                Array.iter
+                  (function
+                    | Ok resp ->
+                        check string "answered ok" "ok" resp.Serve.rs_status
+                    | Error m -> failf "binding lost: %s" m)
+                  results)));
+    test_case "a deadline nearer than the heartbeat bounds each read" `Quick
+      (fun () ->
+        with_silent_listener (fun ep ->
+            let _, stats =
+              within ~seconds:1.5 "run with a 300 ms deadline" (fun () ->
+                  Coordinator.run ~heartbeat_ms:3000 ~deadline_ms:300
+                    ~retries:0 [ ep ] (coordinator_bindings 4))
+            in
+            check int "nothing finished" 0 stats.Coordinator.co_finished));
+  ]
+
 (* ---------- the supervised fleet, over real processes ---------- *)
 
 let spawned_pids err_file name =
@@ -800,6 +882,7 @@ let () =
       ("supervisor", supervisor_tests);
       ("breakers", breaker_tests);
       ("revival", revival_tests);
+      ("coordinator timeouts", timeout_tests);
       ("supervised fleet", fleet_tests);
       ("merge race", merge_race_tests);
       ("cli", cli_tests);

@@ -9,7 +9,9 @@
    functions, clean edit), session lifecycle (forget, unwatched paths,
    a broken edit keeping the last good model), and the daemon wire
    surface (watch/reanalyze/forget verbs, streamed binding frames,
-   session counters on stats). *)
+   session counters on stats, the daemon-wide session queue, and an
+   event loop that keeps answering while a session verb's file read
+   blocks on a FIFO). *)
 
 open Mira_core
 
@@ -565,6 +567,162 @@ let test_daemon_watch_from_disk () =
           Alcotest.(check string)
             "untagged reanalyze is refused" "error" r.Serve.rs_status))
 
+(* ---------- the event loop stays free of session work ---------- *)
+
+(* one tagged request, written without waiting for its answer *)
+let send_tagged fd id req = Serve.write_frame fd (Serve.encode_request ~id req)
+
+(* the next response frame, or [None] when the socket's receive
+   timeout expires first *)
+let next_frame fd =
+  match Serve.read_frame fd with
+  | Error Serve.Timed_out -> None
+  | Error e ->
+      Alcotest.failf "stream died: %s" (Serve.frame_error_to_string e)
+  | Ok payload -> (
+      match Serve.parse_response payload with
+      | Ok r -> Some r
+      | Error m -> Alcotest.failf "bad frame: %s" m)
+
+let next_frame_exn what fd =
+  match next_frame fd with
+  | Some r -> r
+  | None -> Alcotest.failf "no answer to %s" what
+
+let set_timeout fd seconds = Unix.setsockopt_float fd Unix.SO_RCVTIMEO seconds
+
+(* Watch a file, replace it with a FIFO, and send a tagged, empty-body
+   reanalyze of it on [fd]: reading the path now blocks until the FIFO
+   is opened for writing, and the reanalyze holds the daemon-wide
+   session slot all that time.  Watching first keeps the slot held
+   whether the daemon checks "watched" before or after the read.  The
+   returned release feeds the FIFO the watched text (a clean edit) once
+   the daemon has it open, and removes it; it is idempotent, so it can
+   also sit in a [finally]. *)
+let hold_session fd =
+  let path = temp_name "mira-watch-fifo" ^ ".mc" in
+  let r = roundtrip_exn fd (Serve.Watch { wt_path = path; wt_source = c0 }) in
+  Alcotest.(check string) "watch the file first" "ok" r.Serve.rs_status;
+  Unix.mkfifo path 0o600;
+  send_tagged fd "rz-fifo" (Serve.Reanalyze { rz_path = path; rz_source = "" });
+  (* let the daemon start the read before anything else arrives *)
+  Unix.sleepf 0.2;
+  let released = ref false in
+  fun () ->
+    if not !released then begin
+      released := true;
+      (* a non-blocking open for writing fails (ENXIO) until the
+         daemon's open for reading is in place; wait up to 5 s *)
+      let rec feed tries =
+        match Unix.openfile path [ Unix.O_WRONLY; Unix.O_NONBLOCK ] 0 with
+        | w ->
+            ignore (Unix.write_substring w c0 0 (String.length c0));
+            Unix.close w
+        | exception Unix.Unix_error (Unix.ENXIO, _, _) when tries > 0 ->
+            Unix.sleepf 0.01;
+            feed (tries - 1)
+        | exception Unix.Unix_error (Unix.ENXIO, _, _) -> ()
+      in
+      feed 500;
+      try Sys.remove path with Sys_error _ -> ()
+    end
+
+let check_clean_terminal fd id =
+  set_timeout fd 10.0;
+  let r = next_frame_exn id fd in
+  Alcotest.(check (option string)) "terminal frame id" (Some id)
+    (Serve.field r "id");
+  Alcotest.(check (option string))
+    "the reanalyze ends with its terminal frame" (Some "1")
+    (Serve.field r "reanalyze-done");
+  Alcotest.(check (option string))
+    "the unchanged text is a clean edit" (Some "1") (Serve.field r "clean")
+
+let test_fifo_read_leaves_loop_free () =
+  with_server (fun socket ->
+      with_conn socket (fun a ->
+          let release = hold_session a in
+          Fun.protect ~finally:release (fun () ->
+              let b = Serve.connect ~io_timeout_ms:1000 socket in
+              Fun.protect
+                ~finally:(fun () ->
+                  try Unix.close b with Unix.Unix_error _ -> ())
+                (fun () ->
+                  match Serve.roundtrip b Serve.Ping with
+                  | Ok r ->
+                      Alcotest.(check string)
+                        "ping answered while the FIFO is held" "ok"
+                        r.Serve.rs_status
+                  | Error m ->
+                      Alcotest.failf
+                        "ping on a second connection failed while a \
+                         reanalyze read a FIFO: %s"
+                        m);
+              release ();
+              check_clean_terminal a "rz-fifo")))
+
+let test_session_queue_waits () =
+  with_server (fun socket ->
+      with_conn socket (fun a ->
+          let release = hold_session a in
+          Fun.protect ~finally:release (fun () ->
+              with_conn socket (fun b ->
+                  set_timeout b 0.3;
+                  send_tagged b "w-1"
+                    (Serve.Watch { wt_path = "queued.mc"; wt_source = c0 });
+                  send_tagged b "p-1" Serve.Ping;
+                  let p = next_frame_exn "the ping" b in
+                  Alcotest.(check (option string))
+                    "the ping is answered first" (Some "p-1")
+                    (Serve.field p "id");
+                  (match next_frame b with
+                  | None -> ()
+                  | Some r ->
+                      Alcotest.failf
+                        "%s answered while the session slot was held"
+                        (Option.value (Serve.field r "id") ~default:"?"));
+                  release ();
+                  set_timeout b 10.0;
+                  let w = next_frame_exn "the queued watch" b in
+                  Alcotest.(check (option string))
+                    "the queued watch is answered once the slot frees"
+                    (Some "w-1") (Serve.field w "id");
+                  Alcotest.(check string) "watch ok" "ok" w.Serve.rs_status);
+              check_clean_terminal a "rz-fifo")))
+
+let test_unwatched_reanalyze_releases () =
+  with_server (fun socket ->
+      with_conn socket (fun fd ->
+          set_timeout fd 10.0;
+          send_tagged fd "rz-u"
+            (Serve.Reanalyze { rz_path = "nowhere.mc"; rz_source = c0 });
+          let r = next_frame_exn "the reanalyze" fd in
+          Alcotest.(check string) "an error frame" "error" r.Serve.rs_status;
+          Alcotest.(check (option string))
+            "carrying the reanalyze's id" (Some "rz-u") (Serve.field r "id");
+          let w =
+            roundtrip_exn fd (Serve.Watch { wt_path = "c.mc"; wt_source = c0 })
+          in
+          Alcotest.(check string)
+            "the next watch is answered" "ok" w.Serve.rs_status;
+          Alcotest.(check (option string))
+            "by the watch itself" (Some "c.mc") (Serve.field w "path")))
+
+let test_clean_reanalyze_wire () =
+  with_server (fun socket ->
+      with_conn socket (fun fd ->
+          set_timeout fd 10.0;
+          ignore
+            (roundtrip_exn fd
+               (Serve.Watch { wt_path = "a.mc"; wt_source = a0 }));
+          send_tagged fd "rz-c"
+            (Serve.Reanalyze { rz_path = "a.mc"; rz_source = a0 });
+          check_clean_terminal fd "rz-c";
+          send_tagged fd "p-c" Serve.Ping;
+          Alcotest.(check (option string))
+            "no frame between the terminal and the next answer" (Some "p-c")
+            (Serve.field (next_frame_exn "the ping" fd) "id")))
+
 let () =
   Alcotest.run "watch"
     [
@@ -597,5 +755,13 @@ let () =
             test_daemon_watch_reanalyze;
           Alcotest.test_case "disk reads and refusals" `Quick
             test_daemon_watch_from_disk;
+          Alcotest.test_case "a FIFO read leaves the loop free" `Quick
+            test_fifo_read_leaves_loop_free;
+          Alcotest.test_case "session verbs queue behind a held slot" `Quick
+            test_session_queue_waits;
+          Alcotest.test_case "an unwatched reanalyze releases its slot"
+            `Quick test_unwatched_reanalyze_releases;
+          Alcotest.test_case "a clean reanalyze sends only its terminal"
+            `Quick test_clean_reanalyze_wire;
         ] );
     ]
