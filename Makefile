@@ -102,7 +102,10 @@ serve-smoke: build
 # endpoint must be refused.  Then the sharded-batch path: two disjoint
 # --shard runs into separate caches, "mira cache merge" unions them,
 # and a full batch against the merged cache must run entirely warm
-# ("0 analyzed").  Survivors must drain cleanly on SIGTERM.
+# ("0 analyzed").  Survivors must drain cleanly on SIGTERM.  Last, a
+# daemon that stalls every frame 1.3 s between header and payload must
+# not be declared lost by a 1 s heartbeat: a frame still arriving is
+# not silence, so its one binding is answered.
 cluster-smoke: build
 	timeout --kill-after=10 120 sh -ec ' \
 	  exe=./_build/default/bin/mira.exe; \
@@ -144,7 +147,18 @@ cluster-smoke: build
 	  $$exe cache merge $$dir/cm $$dir/ca $$dir/cb; \
 	  $$exe batch $$dir/corpus --cache --cache-dir $$dir/cm \
 	    | grep -q " 0 analyzed"; \
-	  kill -TERM $$pid1 $$pid2; wait $$pid1; wait $$pid2'
+	  kill -TERM $$pid1 $$pid2; wait $$pid1; wait $$pid2; \
+	  $$exe serve --endpoint unix:$$dir/slow.sock \
+	    --faults seed=3,slow=1,slow_ms=1300 & pid4=$$!; \
+	  i=0; until $$exe client ping --endpoint unix:$$dir/slow.sock \
+	      >/dev/null 2>&1; do \
+	    i=$$((i+1)); [ $$i -lt 100 ] || exit 1; sleep 0.05; done; \
+	  echo "$$dir/corpus/saxpy.mc saxpy_chain n=64 reps=2" > $$dir/slow.txt; \
+	  $$exe eval-sweep $$dir/slow.txt --endpoint unix:$$dir/slow.sock \
+	    --heartbeat-ms 1000 --dispatch-retries 0 > $$dir/slow.out; \
+	  [ $$(wc -l < $$dir/slow.out) -eq 1 ]; \
+	  [ $$(grep -c "^ok " $$dir/slow.out) -eq 1 ]; \
+	  kill -TERM $$pid4; wait $$pid4'
 
 # Watch-mode smoke, both surfaces end to end.  Daemon path: a real
 # daemon watches a 3-file tree (a.mc's g is also defined in b.mc and

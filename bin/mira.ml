@@ -608,10 +608,12 @@ module Opts = struct
       value & opt int 30_000
       & info [ "io-timeout-ms" ] ~docv:"MS"
           ~doc:
-            "Client-side socket timeout covering connect, every read/write \
-             and the per-request response deadline: a wedged or stalled \
-             daemon becomes a clean error exit instead of a hung client.  \
-             0 disables.")
+            "Client-side timeout covering connect, every write and the \
+             per-request response deadline: a wedged or stalled daemon \
+             becomes a clean error exit instead of a hung client.  A \
+             streamed $(b,reanalyze) has no deadline; after this much \
+             silence it pings the daemon, and a second silent interval is \
+             the error.  0 disables.")
 
   let pipeline =
     Arg.(
@@ -1134,61 +1136,45 @@ let client_cmd =
                 other;
               exit 124
         in
-        match req with
-        | Mira_core.Serve.Reanalyze _ ->
-            (* reanalyze streams one frame per invalidated function
-               plus a terminal frame: drive one direct connection with
-               the frame loop instead of the one-response pool *)
-            let ep =
-              match endpoints with
-              | [ ep ] -> ep
-              | _ ->
-                  Printf.eprintf
-                    "error: reanalyze streams over a single connection; give \
-                     exactly one --endpoint\n";
-                  exit 124
-            in
-            let auth_secret = Opts.load_auth_secret auth_secret_file in
-            let fd = Mira_core.Endpoint.connect ~io_timeout_ms ep in
-            Fun.protect
-              ~finally:(fun () ->
-                try Unix.close fd with Unix.Unix_error _ -> ())
-              (fun () ->
-                Mira_core.Serve.send ?auth_secret ~id:"reanalyze-1" fd req;
-                let rec drain worst =
-                  match Mira_core.Serve.recv ?auth_secret fd with
-                  | Error e ->
-                      Printf.eprintf "error: %s\n"
-                        (match e with
-                        | `Timeout -> "socket timeout"
-                        | `Failed m -> m);
-                      exit exit_internal
-                  | Ok resp ->
-                      let worst = max worst (render (Ok resp)) in
-                      if
-                        Mira_core.Serve.field resp "reanalyze-done" = Some "1"
-                        || resp.rs_status <> "ok"
-                           && Mira_core.Serve.field resp "binding" = None
-                      then worst
-                      else drain worst
-                in
-                let worst = drain 0 in
-                if worst <> 0 then exit worst)
-        | req ->
-            let pipeline = max 1 pipeline in
-            let results =
-              Mira_core.Client.with_pool ~io_timeout_ms ~max_inflight:pipeline
-                ?auth_secret:(Opts.load_auth_secret auth_secret_file) endpoints
-                (fun pool ->
-                  if pipeline = 1 then [ Mira_core.Client.request pool req ]
-                  else
-                    Mira_core.Client.sweep pool
-                      (List.init pipeline (fun _ -> req)))
-            in
-            let worst =
-              List.fold_left (fun acc r -> max acc (render r)) 0 results
-            in
-            if worst <> 0 then exit worst)
+        (* reanalyze streams one frame per invalidated function plus a
+           terminal frame, printed as they arrive, from one daemon's
+           session.  A slow recomputation is not a dead daemon: the
+           stream pings after [io_timeout_ms] of silence instead of
+           timing out *)
+        let streamed =
+          match req with Mira_core.Serve.Reanalyze _ -> true | _ -> false
+        in
+        if streamed && List.length endpoints <> 1 then begin
+          Printf.eprintf
+            "error: reanalyze streams over a single connection; give exactly \
+             one --endpoint\n";
+          exit 124
+        end;
+        let pipeline = max 1 pipeline in
+        let worst = ref 0 in
+        let render r = worst := max !worst (render r) in
+        Mira_core.Client.with_pool ~io_timeout_ms ~max_inflight:pipeline
+          ?auth_secret:(Opts.load_auth_secret auth_secret_file) endpoints
+          (fun pool ->
+            if streamed then (
+              match
+                Mira_core.Client.stream ~deadline_ms:0
+                  ~heartbeat_ms:io_timeout_ms pool req (fun resp ->
+                    render (Ok resp);
+                    if
+                      Mira_core.Serve.field resp "reanalyze-done" = Some "1"
+                      || resp.rs_status <> "ok"
+                         && Mira_core.Serve.field resp "binding" = None
+                    then `Done
+                    else `More)
+              with
+              | Ok () -> ()
+              | Error m -> render (Error m))
+            else if pipeline = 1 then render (Mira_core.Client.request pool req)
+            else
+              List.iter render
+                (Mira_core.Client.sweep pool (List.init pipeline (fun _ -> req))));
+        if !worst <> 0 then exit !worst)
   in
   let verb =
     Arg.(
@@ -1599,46 +1585,39 @@ let eval_sweep_cmd =
         let fld resp k default =
           Option.value (Mira_core.Serve.field resp k) ~default
         in
-        List.iter2
-          (fun (_, file, fn, params) result ->
-            let label =
-              Printf.sprintf "%s %s%s" (Filename.basename file) fn
-                (String.concat ""
-                   (List.map
-                      (fun (k, v) -> Printf.sprintf " %s=%d" k v)
-                      params))
-            in
+        let labels =
+          Array.of_list
+            (List.map
+               (fun (_, file, fn, params) ->
+                 Printf.sprintf "%s %s%s" (Filename.basename file) fn
+                   (String.concat ""
+                      (List.map
+                         (fun (k, v) -> Printf.sprintf " %s=%d" k v)
+                         params)))
+               specs)
+        in
+        List.iteri
+          (fun i result ->
             match result with
-            | Error m -> Printf.printf "error %s: %s\n" label m
-            | Ok resp -> (
-                match resp.Mira_core.Serve.rs_status with
-                | "ok" ->
-                    Printf.printf "ok %s fpi=%s total=%s\n" label
-                      (fld resp "fpi" "?") (fld resp "total" "?")
-                | "overloaded" ->
-                    Printf.printf "error %s: server overloaded\n" label
-                | _ ->
-                    Printf.printf "error %s: %s\n" label
-                      (fld resp "message" "unknown error")))
-          specs results;
+            | Error m -> Printf.printf "error %s: %s\n" labels.(i) m
+            | Ok resp when resp.Mira_core.Serve.rs_status = "ok" ->
+                Printf.printf "ok %s fpi=%s total=%s\n" labels.(i)
+                  (fld resp "fpi" "?") (fld resp "total" "?")
+            | Ok resp ->
+                Printf.printf "error %s: %s\n" labels.(i)
+                  (fld resp "message" "unknown error"))
+          results;
         (* whole-fleet death: name exactly which evaluations were never
            answered, so a partial run is actionable *)
-        (if cstats.Mira_core.Coordinator.co_unfinished <> [] then
-           let specs_arr = Array.of_list specs in
+        (if cstats.Mira_core.Coordinator.co_unfinished <> [] then begin
            Printf.eprintf
              "error: every daemon lost; %d of %d evaluation(s) unanswered:\n"
              (List.length cstats.co_unfinished)
              cstats.co_total;
            List.iter
-             (fun i ->
-               let _, file, fn, params = specs_arr.(i) in
-               Printf.eprintf "  unfinished: %s %s%s\n"
-                 (Filename.basename file) fn
-                 (String.concat ""
-                    (List.map
-                       (fun (k, v) -> Printf.sprintf " %s=%d" k v)
-                       params)))
-             cstats.co_unfinished);
+             (fun i -> Printf.eprintf "  unfinished: %s\n" labels.(i))
+             cstats.co_unfinished
+         end);
         (* the worst answer decides, in [response_code]'s order:
            transport or internal > budget > analysis *)
         let worst =
@@ -1670,10 +1649,11 @@ let eval_sweep_cmd =
       & info [ "heartbeat-ms" ] ~docv:"MS"
           ~doc:
             "Liveness threshold per daemon connection: after this much \
-             silence the coordinator pings, and a second silent interval \
+             silence (no byte received, so a frame still arriving is not \
+             silence) the coordinator pings, and a second silent interval \
              declares the daemon lost — its unfinished evaluations are \
              re-dispatched to the survivors.  0 disables loss detection; \
-             a $(b,--chunk-deadline-ms) still bounds every read.")
+             a $(b,--chunk-deadline-ms) still bounds every chunk.")
   in
   let chunk_deadline_ms =
     Arg.(

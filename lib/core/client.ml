@@ -1,98 +1,127 @@
 (* The pooled daemon client.  Layering, bottom up:
 
    - conn: one pipelined connection — a writer (serialized under the
-     connection mutex), a reader thread that re-associates responses
-     by their echoed id= tag, and per-request slots the callers poll;
+     connection mutex) and a reader thread that queues each response
+     frame on the slot its echoed id= tag names, then broadcasts the
+     one condition every waiter blocks on: after every read (a frame,
+     part of one, or a [tick] of silence) and when the connection dies;
+   - exchange: one tagged request on a conn, its frames handed to the
+     caller as they arrive, under the liveness rule of client.mli;
+     [request] is the exchange that stops at its first frame;
    - pool: one conn per endpoint, opened lazily, with round-robin +
      health-aware dispatch and reconnect-with-retry for idempotent
      requests;
    - sweep: fan a request batch over the pool on worker threads,
      merging results positionally so the output is in input order.
 
-   Death discipline: a connection dies exactly once ([kill] sets
+   Death discipline: a connection dies exactly once ([die] sets
    [c_dead] under the mutex and shuts the socket down so the blocked
    reader wakes); the reader owns the descriptor close, taken under
    the same mutex after it exits, so no writer can race a descriptor
-   reuse.  Every waiter observes either its response or the death
+   reuse.  Every waiter observes either its frames or the death
    message — never silence. *)
 
-type slot = { mutable s_resp : Serve.response option }
+(* the reader's socket timeout: the longest a waiter sleeps between
+   checks of its deadline and heartbeat *)
+let tick_s = 0.05
 
 type conn = {
   c_fd : Unix.file_descr;
   c_mu : Mutex.t;
+  c_wake : Condition.t;  (* broadcast by the reader; every waiter blocks here *)
   mutable c_next : int;
-  c_slots : (string, slot) Hashtbl.t;
+  c_slots : (string, Serve.response Queue.t) Hashtbl.t;
   mutable c_dead : string option;
-  mutable c_closed : bool;
   mutable c_inflight : int;
+  mutable c_rx : float;  (* when the reader last received a byte *)
   mutable c_reader : Thread.t option;
   c_secret : string option;
       (* shared auth secret: seal every request, require a valid MAC
          on every response *)
 }
 
-let kill conn msg =
-  Mutex.lock conn.c_mu;
+(* with [c_mu] held *)
+let die conn msg =
   if conn.c_dead = None then begin
     conn.c_dead <- Some msg;
     (* wake the reader out of its blocking read; it will close the
        descriptor once no writer can hold it *)
-    try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
-    with Unix.Unix_error _ -> ()
-  end;
+    (try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
+     with Unix.Unix_error _ -> ());
+    Condition.broadcast conn.c_wake
+  end
+
+let kill conn msg =
+  Mutex.lock conn.c_mu;
+  die conn msg;
   Mutex.unlock conn.c_mu
 
+(* one answer, with [c_mu] held *)
+let route conn resp =
+  match Serve.field resp "id" with
+  | None ->
+      (* the only legitimate untagged response is the shed frame the
+         accept loop sends before dropping us *)
+      die conn
+        (if resp.Serve.rs_status = "overloaded" then "server overloaded"
+         else "untagged response on a pipelined connection")
+  | Some id -> (
+      match Hashtbl.find_opt conn.c_slots id with
+      | Some frames -> Queue.add resp frames
+      | None ->
+          (* a heartbeat's answer, or the late answer of an abandoned
+             request: the stream itself is in sync *)
+          ())
+
 let reader conn =
+  let dec = Serve.decoder () in
   let rec loop () =
-    match Serve.recv ?auth_secret:conn.c_secret conn.c_fd with
-    | Error `Timeout ->
-        (* the socket timeout is only a poll tick here: per-request
-           deadlines belong to the waiters, and an idle pooled
-           connection is not an error *)
-        if conn.c_dead = None then loop ()
-    | Error (`Failed m) -> kill conn m
-    | Ok resp -> (
-        match Serve.field resp "id" with
-        | None ->
-            (* the only legitimate untagged response is the shed
-               frame the accept loop sends before dropping us *)
-            if resp.Serve.rs_status = "overloaded" then
-              kill conn "server overloaded"
-            else kill conn "untagged response on a pipelined connection"
-        | Some id ->
-            Mutex.lock conn.c_mu;
-            (match Hashtbl.find_opt conn.c_slots id with
-            | Some slot ->
-                slot.s_resp <- Some resp;
-                Hashtbl.remove conn.c_slots id
-            | None ->
-                (* an abandoned (deadlined) request's late answer:
-                   drop it, the stream itself is still in sync *)
-                ());
-            Mutex.unlock conn.c_mu;
-            loop ())
+    let event =
+      match Serve.decode dec conn.c_fd with
+      | Ok Serve.Blocked -> `Tick
+      | Ok Serve.Partial -> `Bytes
+      | Ok (Serve.Frame payload) -> (
+          (* verified and parsed outside the lock: the MAC of a large
+             answer must not hold up the connection's writers *)
+          match Serve.open_response ?auth_secret:conn.c_secret payload with
+          | Ok resp -> `Answer resp
+          | Error m -> `Lost m)
+      | Error e -> `Lost (Serve.frame_error_to_string e)
+    in
+    Mutex.lock conn.c_mu;
+    (match event with
+    | `Tick -> ()
+    | `Bytes -> conn.c_rx <- Unix.gettimeofday ()
+    | `Answer resp ->
+        conn.c_rx <- Unix.gettimeofday ();
+        route conn resp
+    | `Lost m -> die conn m);
+    Condition.broadcast conn.c_wake;
+    let live = conn.c_dead = None in
+    Mutex.unlock conn.c_mu;
+    if live then loop ()
   in
-  (try loop () with _ -> ());
+  (try loop () with e -> kill conn (Printexc.to_string e));
+  (* dead now, so no writer will touch the descriptor again *)
   Mutex.lock conn.c_mu;
-  if conn.c_dead = None then conn.c_dead <- Some "connection closed";
-  if not conn.c_closed then begin
-    conn.c_closed <- true;
-    try Unix.close conn.c_fd with Unix.Unix_error _ -> ()
-  end;
+  (try Unix.close conn.c_fd with Unix.Unix_error _ -> ());
   Mutex.unlock conn.c_mu
 
 let make_conn ~io_timeout_ms ?auth_secret ep =
   let fd = Endpoint.connect ~io_timeout_ms ep in
+  (* reads tick; writes keep [io_timeout_ms] *)
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO tick_s
+   with Unix.Unix_error _ -> ());
   let conn =
     {
       c_fd = fd;
       c_mu = Mutex.create ();
+      c_wake = Condition.create ();
       c_next = 1;
       c_slots = Hashtbl.create 16;
       c_dead = None;
-      c_closed = false;
       c_inflight = 0;
+      c_rx = Unix.gettimeofday ();
       c_reader = None;
       c_secret = auth_secret;
     }
@@ -100,84 +129,96 @@ let make_conn ~io_timeout_ms ?auth_secret ep =
   conn.c_reader <- Some (Thread.create reader conn);
   conn
 
-(* adaptive wait: spin briefly for the common sub-millisecond ping,
-   then back off to a 1 ms poll for real analyses *)
-let backoff n = if n < 64 then Thread.yield () else Unix.sleepf 0.001
-
-(* one tagged request on an open connection; every exit decrements the
-   in-flight count exactly once *)
-let conn_request conn ~max_inflight ~deadline_ms req =
-  Mutex.lock conn.c_mu;
-  let rec admit n =
-    match conn.c_dead with
-    | Some m ->
-        Mutex.unlock conn.c_mu;
-        Error ("connection: " ^ m)
-    | None ->
-        if conn.c_inflight >= max 1 max_inflight then begin
-          (* pipeline full: backpressure this caller, not the wire *)
-          Mutex.unlock conn.c_mu;
-          backoff n;
-          Mutex.lock conn.c_mu;
-          admit (n + 1)
-        end
-        else submit ()
-  and submit () =
+(* One tagged request on an open connection: wait for pipeline room,
+   send, then hand each response frame to [on_frame] on this thread,
+   in arrival order, until it answers [`Done].  Returns the outcome and
+   how many frames [on_frame] saw.  Every exit gives back the room it
+   took and forgets the slot, so later frames for it are dropped. *)
+let exchange conn ~max_inflight ~deadline_ms ~heartbeat_ms req on_frame =
+  let secs ms = if ms <= 0 then infinity else float_of_int ms /. 1000.0 in
+  let deadline = Unix.gettimeofday () +. secs deadline_ms in
+  let beat = secs heartbeat_ms in
+  let frames = Queue.create () and tag = ref None and seen = ref 0 in
+  let sent_at = ref 0.0 and pinged = ref 0.0 in
+  (* one tagged frame out, with [c_mu] held (writes are serialized);
+     a failed write kills the connection *)
+  let send req =
     let id = string_of_int conn.c_next in
     conn.c_next <- conn.c_next + 1;
-    let slot = { s_resp = None } in
-    Hashtbl.replace conn.c_slots id slot;
-    conn.c_inflight <- conn.c_inflight + 1;
     match Serve.send ?auth_secret:conn.c_secret ~id conn.c_fd req with
+    | () -> Some id
     | exception e ->
+        die conn
+          ("write: "
+          ^
+          match e with
+          | Unix.Unix_error (e, _, _) -> Unix.error_message e
+          | e -> Printexc.to_string e);
+        None
+  in
+  let finish r =
+    Option.iter
+      (fun id ->
         Hashtbl.remove conn.c_slots id;
         conn.c_inflight <- conn.c_inflight - 1;
-        let msg =
-          match e with
-          | Unix.Unix_error (er, _, _) -> Unix.error_message er
-          | e -> Printexc.to_string e
-        in
-        Mutex.unlock conn.c_mu;
-        kill conn ("write: " ^ msg);
-        Error ("write: " ^ msg)
-    | () ->
-        Mutex.unlock conn.c_mu;
-        await id slot
-  and await id slot =
-    let deadline =
-      if deadline_ms <= 0 then infinity
-      else Unix.gettimeofday () +. (float_of_int deadline_ms /. 1000.0)
-    in
-    let finish r =
-      conn.c_inflight <- conn.c_inflight - 1;
-      Mutex.unlock conn.c_mu;
-      r
-    in
-    let rec wait n =
-      Mutex.lock conn.c_mu;
-      match (slot.s_resp, conn.c_dead) with
-      | Some resp, _ -> finish (Ok resp)
-      | None, Some m -> finish (Error ("connection: " ^ m))
-      | None, None ->
-          if Unix.gettimeofday () > deadline then begin
-            (* wedged or merely slow?  Undecidable from here — treat
-               the connection as lost so nothing queues behind it *)
-            Hashtbl.remove conn.c_slots id;
-            ignore
-              (finish
-                 (Error "request deadline exceeded (daemon wedged?)"));
-            kill conn "request deadline exceeded";
-            Error "request deadline exceeded (daemon wedged?)"
-          end
-          else begin
-            Mutex.unlock conn.c_mu;
-            backoff n;
-            wait (n + 1)
-          end
-    in
-    wait 0
+        Condition.broadcast conn.c_wake)
+      !tag;
+    Mutex.unlock conn.c_mu;
+    (r, !seen)
   in
-  admit 0
+  let rec step () =
+    let now = Unix.gettimeofday () in
+    let heard = Float.max !sent_at conn.c_rx in
+    if not (Queue.is_empty frames) then begin
+      let resp = Queue.pop frames in
+      Mutex.unlock conn.c_mu;
+      incr seen;
+      match on_frame resp with
+      | `More ->
+          Mutex.lock conn.c_mu;
+          step ()
+      | `Done ->
+          Mutex.lock conn.c_mu;
+          finish (Ok ())
+      | exception e ->
+          Mutex.lock conn.c_mu;
+          ignore (finish (Ok ()));
+          raise e
+    end
+    else
+      match conn.c_dead with
+      | Some m -> finish (Error ("connection: " ^ m))
+      | None when now >= deadline ->
+          (* wedged or merely slow?  Undecidable from here — treat the
+             connection as lost so nothing queues behind it *)
+          die conn "request deadline exceeded";
+          finish (Error "request deadline exceeded (daemon wedged?)")
+      | None when !tag = None && conn.c_inflight < max_inflight ->
+          tag := send req;
+          Option.iter
+            (fun id ->
+              Hashtbl.replace conn.c_slots id frames;
+              conn.c_inflight <- conn.c_inflight + 1;
+              sent_at := now)
+            !tag;
+          step ()
+      | None when !tag <> None && !pinged > heard && now -. !pinged >= beat ->
+          (* the ping went unanswered too: the daemon is gone *)
+          die conn "heartbeat timeout";
+          finish (Error "heartbeat timeout")
+      | None when !tag <> None && !pinged <= heard && now -. heard >= beat ->
+          (* a silent interval: ask, on the same connection — the daemon
+             answers pings inline whatever it is doing *)
+          if send Serve.Ping <> None then pinged := now;
+          step ()
+      | None ->
+          (* nothing to do until the reader's next broadcast; a full
+             pipeline backpressures this caller, not the wire *)
+          Condition.wait conn.c_wake conn.c_mu;
+          step ()
+  in
+  Mutex.lock conn.c_mu;
+  step ()
 
 (* ---------- the pool ---------- *)
 
@@ -279,9 +320,9 @@ let idempotent = function
      watched set, reanalyze advances it): never silently retry
      them — a duplicate would double-commit an edit *)
   | Serve.Watch _ | Serve.Reanalyze _ | Serve.Forget _ -> false
-  (* Sweep is side-effect-free on the daemon too, but this pool's
-     one-response-per-request slots cannot carry its streamed frames:
-     [request] refuses it and Coordinator owns the verb *)
+  (* Sweep is side-effect-free on the daemon too; it streams, so only
+     [stream] carries it, and a stream is retried only before its
+     first frame *)
   | Serve.Ping | Serve.Stats | Serve.Health | Serve.Analyze _ | Serve.Eval _
   | Serve.Sweep _ ->
       true
@@ -400,50 +441,54 @@ let get_conn t st =
           st.e_conn <- Some c;
           c)
 
-let request ?deadline_ms t req =
+let stream ?deadline_ms ?(heartbeat_ms = 0) t req on_frame =
   let deadline_ms = Option.value deadline_ms ~default:t.p_io_timeout_ms in
   let attempts = if idempotent req then 1 + t.p_retries else 1 in
   let rec go ?avoid attempt last_err =
     if attempt >= attempts then Error last_err
     else
       let st = pick ?avoid t in
-      let label m = Endpoint.to_string st.e_ep ^ ": " ^ m in
+      let failed m =
+        breaker_fail st;
+        Endpoint.to_string st.e_ep ^ ": " ^ m
+      in
+      let retry m = go ~avoid:st (attempt + 1) (failed m) in
       match get_conn t st with
       | exception Unix.Unix_error (e, _, _) ->
-          breaker_fail st;
-          go ~avoid:st (attempt + 1)
-            (label ("connect: " ^ Unix.error_message e))
+          retry ("connect: " ^ Unix.error_message e)
       | exception Failure m ->
           (* unresolvable host: no point hammering it *)
-          breaker_fail st;
-          go ~avoid:st (attempt + 1) (label m)
+          retry m
       | conn -> (
           match
-            conn_request conn ~max_inflight:t.p_max_inflight ~deadline_ms
-              req
+            exchange conn ~max_inflight:t.p_max_inflight ~deadline_ms
+              ~heartbeat_ms req on_frame
           with
-          | Ok resp when resp.Serve.rs_status = "overloaded" ->
-              (* shed at accept: this daemon is saturated, move on —
-                 but surface the shed itself when attempts run out *)
-              breaker_fail st;
-              if idempotent req && attempt + 1 < attempts then
-                go ~avoid:st (attempt + 1) (label "overloaded")
-              else Ok resp
-          | Ok resp ->
+          | Ok (), _ ->
               breaker_ok t st;
-              Ok resp
-          | Error m ->
-              breaker_fail st;
-              go ~avoid:st (attempt + 1) (label m))
+              Ok ()
+          | Error m, 0 -> retry m
+          (* frames already delivered: a retry could repeat them *)
+          | Error m, _ -> Error (failed m))
   in
   if Atomic.get t.p_closed then Error "client pool is closed"
-  else if match req with Serve.Sweep _ -> true | _ -> false then
-    Error "sweep responses stream (one frame per binding); use Coordinator"
-  else if match req with Serve.Reanalyze _ -> true | _ -> false then
-    Error
-      "reanalyze responses stream (one frame per invalidated function); \
-       use a direct connection (mira client reanalyze)"
   else go 0 "no endpoints"
+
+let request ?deadline_ms t req =
+  match req with
+  | Serve.Sweep _ ->
+      Error "sweep responses stream (one frame per binding); use stream"
+  | Serve.Reanalyze _ ->
+      Error
+        "reanalyze responses stream (one frame per invalidated function); \
+         use stream"
+  | _ ->
+      let first = ref None in
+      Result.map
+        (fun () -> Option.get !first)
+        (stream ?deadline_ms t req (fun resp ->
+             first := Some resp;
+             `Done))
 
 let sweep ?jobs ?deadline_ms t reqs =
   let arr = Array.of_list reqs in
@@ -498,47 +543,40 @@ let with_pool ?io_timeout_ms ?max_inflight ?retries ?auth_secret eps f =
 
 let with_endpoint ?io_timeout_ms ep f = with_pool ?io_timeout_ms [ ep ] f
 
+(* a bounded connect, one exchange, close: the readiness and health
+   probes' shape *)
+let once ?auth_secret ~timeout_ms ep req =
+  match Endpoint.connect ~io_timeout_ms:timeout_ms ep with
+  | exception (Unix.Unix_error _ | Sys_error _ | Failure _) ->
+      Error "unreachable"
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () -> Serve.roundtrip ?auth_secret fd req)
+
 let wait_ready ?(timeout_s = 5.0) ?auth_secret ep =
   let deadline = Unix.gettimeofday () +. timeout_s in
   let rec go () =
-    let ready =
-      (* each probe is individually bounded so a half-up daemon cannot
-         park one past the caller's overall deadline *)
-      match Endpoint.connect ~io_timeout_ms:1000 ep with
-      | exception (Unix.Unix_error _ | Sys_error _ | Failure _) -> false
-      | fd ->
-          Fun.protect
-            ~finally:(fun () ->
-              try Unix.close fd with Unix.Unix_error _ -> ())
-            (fun () ->
-              match Serve.roundtrip ?auth_secret fd Serve.Ping with
-              | Ok { Serve.rs_status = "ok"; _ } -> true
-              | _ -> false)
-    in
-    if ready then true
-    else if Unix.gettimeofday () >= deadline then false
-    else begin
-      Unix.sleepf 0.02;
-      go ()
-    end
+    (* each probe is individually bounded so a half-up daemon cannot
+       park one past the caller's overall deadline *)
+    match once ?auth_secret ~timeout_ms:1000 ep Serve.Ping with
+    | Ok { Serve.rs_status = "ok"; _ } -> true
+    | _ when Unix.gettimeofday () >= deadline -> false
+    | _ ->
+        Unix.sleepf 0.02;
+        go ()
   in
   go ()
 
 type health = Ready | Starting | Draining | Unreachable
 
 let probe ?auth_secret ~timeout_ms ep =
-  match Endpoint.connect ~io_timeout_ms:timeout_ms ep with
-  | exception _ -> Unreachable
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          match Serve.roundtrip ?auth_secret fd Serve.Health with
-          | Ok resp -> (
-              match Serve.field resp "state" with
-              | Some "starting" -> Starting
-              | Some "draining" -> Draining
-              (* a pre-health daemon answers with an error frame, no
-                 state: alive, just old *)
-              | Some _ | None -> Ready)
-          | Error _ -> Unreachable)
+  match once ?auth_secret ~timeout_ms ep Serve.Health with
+  | Ok resp -> (
+      match Serve.field resp "state" with
+      | Some "starting" -> Starting
+      | Some "draining" -> Draining
+      (* a pre-health daemon answers with an error frame, no state:
+         alive, just old *)
+      | Some _ | None -> Ready)
+  | Error _ -> Unreachable

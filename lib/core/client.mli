@@ -1,5 +1,5 @@
 (** The daemon client: pipelined connections, a connection pool over
-    many endpoints, and fan-out sweeps.
+    many endpoints, streamed answers and fan-out sweeps.
 
     One {!t} fronts N daemons (any mix of [unix:] and [tcp:]
     endpoints).  Each endpoint gets one pipelined connection, opened
@@ -11,6 +11,21 @@
     connections with pipeline room; a due half-open probe is admitted
     ahead of the rotation, so a revived endpoint rejoins even while
     its healthy peers could absorb the load.
+
+    A connection's one reader thread queues each frame on its
+    request's slot and wakes the waiters on every frame, on the
+    connection's death and on every 50 ms socket-timeout tick: a
+    caller blocks until its answer arrives instead of polling, and
+    re-checks its deadline and heartbeat at least once per tick.
+
+    {2 Liveness}
+
+    Any byte received is a sign of life, so a frame still arriving is
+    not silence.  With a [heartbeat_ms], an exchange pings the daemon
+    on the same connection after that much silence (the daemon answers
+    pings inline), and a second silent interval kills the connection.
+    [deadline_ms] bounds the whole exchange, from waiting for pipeline
+    room to its last frame.
 
     {2 Failure semantics}
 
@@ -31,16 +46,16 @@
     extra attempts.  [shutdown] is
     not idempotent and is {e never} retried: if its connection dies
     before the acknowledgement arrives, the caller gets the transport
-    error and must decide for itself.  An [overloaded] response is
-    treated like a transport failure for retry purposes (idempotent
-    requests move to another endpoint) but is returned as-is when
-    attempts run out.
+    error and must decide for itself.  A shed connection (the
+    untagged [overloaded] frame a saturated daemon sends at accept) is
+    a transport failure like any other.  A stream is retried only
+    before its first frame.
 
-    A request deadline overrun closes its connection: whether the
-    daemon is wedged or merely slow cannot be distinguished, and the
-    other in-flight requests on that connection fail fast (and are
-    retried elsewhere when idempotent) instead of queueing behind a
-    corpse. *)
+    A deadline overrun or a heartbeat timeout closes its connection:
+    whether the daemon is wedged or merely slow cannot be
+    distinguished, and the other in-flight requests on that connection
+    fail fast (and are retried elsewhere when idempotent) instead of
+    queueing behind a corpse. *)
 
 type t
 
@@ -79,14 +94,32 @@ val breaker_stats : t -> breaker_stats
 
 val request :
   ?deadline_ms:int -> t -> Serve.request -> (Serve.response, string) result
-(** One request through the pool.  [deadline_ms] (default
-    [io_timeout_ms]) bounds the wait for this response; an overrun is
-    a transport error (and closes the connection — see above).
-    [Error] means no daemon could be reached within the retry budget;
-    server-side failures arrive as [Ok] responses with
-    [rs_status = "error"].  [Serve.Sweep] is refused with an [Error]:
-    its responses stream (one frame per binding) and cannot ride this
-    pool's one-response slots — use {!Coordinator}. *)
+(** One request through the pool: its first response frame.
+    [deadline_ms] (default [io_timeout_ms]) bounds the wait for this
+    response; an overrun is a transport error (and closes the
+    connection — see above).  [Error] means no daemon could be reached
+    within the retry budget; server-side failures arrive as [Ok]
+    responses with [rs_status = "error"].  [Serve.Sweep] and
+    [Serve.Reanalyze] are refused with an [Error]: their responses
+    stream — use {!stream} (or {!Coordinator} for sweeps). *)
+
+val stream :
+  ?deadline_ms:int ->
+  ?heartbeat_ms:int ->
+  t ->
+  Serve.request ->
+  (Serve.response -> [ `More | `Done ]) ->
+  (unit, string) result
+(** One request whose answer may be many frames (a [sweep] chunk, a
+    [reanalyze]).  [on_frame] runs on the calling thread for each
+    response frame tagged with this request's id, in arrival order,
+    until it returns [`Done]; frames that arrive after that are
+    dropped.  [deadline_ms] (default [io_timeout_ms], [0] = none)
+    bounds the whole exchange; [heartbeat_ms] (default [0] = off)
+    enables the silence rule above.  [Error] is a transport failure
+    (the frames before it were delivered); an exception raised by
+    [on_frame] ends the exchange and propagates.  Retries follow
+    {!request}'s rules, but only before the first frame. *)
 
 val sweep :
   ?jobs:int ->
@@ -122,10 +155,11 @@ val with_endpoint :
     codec. *)
 
 val wait_ready : ?timeout_s:float -> ?auth_secret:string -> Endpoint.t -> bool
-(** Poll connect+ping until a daemon answers at [ep] (for scripts and
-    tests that just started one); [false] on timeout (default 5 s).
-    [auth_secret] is required to probe a secret-bearing [tcp:]
-    daemon (the unauthenticated ping would be rejected). *)
+(** Poll connect+ping+close (each bounded by 1 s, 20 ms apart) until
+    a daemon answers [ok] at [ep] (for scripts and tests that just
+    started one); [false] on timeout (default 5 s).  [auth_secret] is
+    required to probe a secret-bearing [tcp:] daemon (the
+    unauthenticated ping would be rejected). *)
 
 type health = Ready | Starting | Draining | Unreachable
 
@@ -140,4 +174,5 @@ val probe : ?auth_secret:string -> timeout_ms:int -> Endpoint.t -> health
 
 val idempotent : Serve.request -> bool
 (** Whether the pool may transparently retry this request after a
-    transport failure ([true] for everything but [Shutdown]). *)
+    transport failure ([false] for [Shutdown] and the session verbs
+    [Watch], [Reanalyze] and [Forget]). *)

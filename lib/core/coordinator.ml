@@ -43,7 +43,6 @@ type attempt_result =
   | Chunk_done
   | Shard_lost of {
       lv_leftover : int array;  (* still-unanswered indices, ascending *)
-      lv_reason : string;
       lv_progressed : bool;  (* any binding recorded this attempt *)
     }
 
@@ -111,10 +110,10 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
     | Some finished, Some f -> f ~finished ~total
     | _ -> ()
   in
-  (* every socket operation is bounded by the nearer of the heartbeat
-     and the chunk deadline, whichever are on; the revival probe always
-     gets a positive timeout, or one silent peer would park its worker
-     (and [run]'s final join) forever *)
+  (* connects and writes are bounded by the nearer of the heartbeat
+     and the chunk deadline, whichever are on, as every wait is; the
+     revival probe always gets a positive timeout, or one silent peer
+     would park its worker (and [run]'s final join) forever *)
   let io_ms =
     if heartbeat_ms > 0 && (deadline_ms <= 0 || heartbeat_ms <= deadline_ms)
     then heartbeat_ms
@@ -123,16 +122,12 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
   let probe_ms = if io_ms > 0 then io_ms else 1000 in
   let worker wi ep =
     let ep_str = Endpoint.to_string ep in
-    let conn = ref None in
-    let close_conn () =
-      match !conn with
-      | None -> ()
-      | Some fd ->
-          conn := None;
-          (try Unix.close fd with Unix.Unix_error _ -> ())
+    (* the worker's one connection: Client applies the liveness rule
+       (heartbeat, deadline) and drops frames of abandoned chunks *)
+    let client =
+      Client.create ~io_timeout_ms:io_ms ~retries:0 ?auth_secret [ ep ]
     in
     let fails = ref 0 in
-    let reqno = ref 0 in
     (* The half-open wait of a worker whose daemon was lost: instead of
        retiring for good, keep probing the endpoint — a supervisor may
        be restarting it — and rejoin the sweep when it answers.  The
@@ -181,11 +176,6 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
         Hashtbl.fold (fun i () acc -> i :: acc) remaining []
         |> List.sort compare |> Array.of_list
       in
-      let lost reason =
-        Shard_lost
-          { lv_leftover = leftover (); lv_reason = reason;
-            lv_progressed = !progressed }
-      in
       let record_frame idx resp =
         if Hashtbl.mem remaining idx then begin
           Hashtbl.remove remaining idx;
@@ -197,142 +187,74 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
              stale frame — first-wins accounting absorbs it *)
           record idx (Ok resp)
       in
-      try
-        let fd =
-          match !conn with
-          | Some fd -> fd
+      (* never trust the daemon's count — strand nothing *)
+      let fail_remaining msg =
+        Hashtbl.iter (fun i () -> record i (Error msg)) remaining;
+        Hashtbl.reset remaining
+      in
+      let names =
+        let seen = Hashtbl.create 8 in
+        Array.fold_left
+          (fun acc i ->
+            let n = bindings.(i).bd_name in
+            if Hashtbl.mem seen n then acc
+            else begin
+              Hashtbl.add seen n ();
+              n :: acc
+            end)
+          [] idxs
+        |> List.rev
+      in
+      let req =
+        Serve.Sweep
+          {
+            sw_sources = List.map (fun n -> (n, Hashtbl.find sources n)) names;
+            sw_bindings =
+              Array.to_list idxs
+              |> List.map (fun i ->
+                     let b = bindings.(i) in
+                     {
+                       Serve.sb_index = i;
+                       sb_source = b.bd_name;
+                       sb_function = b.bd_function;
+                       sb_params = b.bd_params;
+                     });
+            sw_budget = budget;
+          }
+      in
+      let on_frame resp =
+        if Serve.field resp "sweep-done" = Some "1" then begin
+          (* terminal frame; a well-behaved daemon has answered
+             everything *)
+          fail_remaining "sweep terminated without an answer";
+          `Done
+        end
+        else
+          match Option.bind (Serve.field resp "binding") int_of_string_opt with
+          | Some idx ->
+              record_frame idx resp;
+              `More
           | None ->
-              let fd = Endpoint.connect ~io_timeout_ms:io_ms ep in
-              conn := Some fd;
-              fd
-        in
-        incr reqno;
-        let sweep_id = Printf.sprintf "s%d-%d" wi !reqno in
-        let names =
-          let seen = Hashtbl.create 8 in
-          Array.fold_left
-            (fun acc i ->
-              let n = bindings.(i).bd_name in
-              if Hashtbl.mem seen n then acc
-              else begin
-                Hashtbl.add seen n ();
-                n :: acc
-              end)
-            [] idxs
-          |> List.rev
-        in
-        let req =
-          Serve.Sweep
-            {
-              sw_sources =
-                List.map (fun n -> (n, Hashtbl.find sources n)) names;
-              sw_bindings =
-                Array.to_list idxs
-                |> List.map (fun i ->
-                       let b = bindings.(i) in
-                       {
-                         Serve.sb_index = i;
-                         sb_source = b.bd_name;
-                         sb_function = b.bd_function;
-                         sb_params = b.bd_params;
-                       });
-              sw_budget = budget;
-            }
-        in
-        Serve.send ?auth_secret ~id:sweep_id fd req;
-        let deadline =
-          if deadline_ms > 0 then
-            Unix.gettimeofday () +. (float_of_int deadline_ms /. 1000.)
-          else infinity
-        in
-        let beat_s = float_of_int heartbeat_ms /. 1000. in
-        let ping_outstanding = ref false in
-        let outcome = ref None in
-        while !outcome = None do
-          let left = deadline -. Unix.gettimeofday () in
-          if left <= 0. then outcome := Some (lost "chunk deadline overrun")
-          else begin
-            (* this read waits out the heartbeat unless the deadline
-               is nearer (the socket's own timeout is the heartbeat) *)
-            let beat = heartbeat_ms > 0 && beat_s <= left in
-            if left < infinity then
-              Unix.setsockopt_float fd Unix.SO_RCVTIMEO
-                (Float.max 0.001 (if beat then beat_s else left));
-            match Serve.recv ?auth_secret fd with
-            | Error `Timeout when beat ->
-                (* [heartbeat_ms] of silence.  First: ping — the daemon
-                   answers pings inline even while the sweep streams.
-                   Second silence in a row means the ping went
-                   unanswered too: the daemon is gone. *)
-                if !ping_outstanding then
-                  outcome := Some (lost "heartbeat timeout")
-                else begin
-                  Serve.send ?auth_secret ~id:(sweep_id ^ "-hb") fd Serve.Ping;
-                  ping_outstanding := true
-                end
-            | Error `Timeout -> () (* the deadline: checked above *)
-            | Error (`Failed m) -> outcome := Some (lost m)
-            | Ok resp -> (
-                ping_outstanding := false;
-                match Serve.field resp "id" with
-                | Some rid when rid = sweep_id -> (
-                    if Serve.field resp "sweep-done" = Some "1" then begin
-                      (* terminal frame; a well-behaved daemon has
-                         answered everything, but never trust the
-                         count — strand nothing *)
-                      Hashtbl.iter
-                        (fun i () ->
-                          record i
-                            (Error
-                               "sweep terminated without an answer"))
-                        remaining;
-                      Hashtbl.reset remaining;
-                      outcome := Some Chunk_done
-                    end
-                    else
-                      match
-                        Option.bind
-                          (Serve.field resp "binding")
-                          int_of_string_opt
-                      with
-                      | Some idx -> record_frame idx resp
-                      | None ->
-                          (* a request-level rejection (auth,
-                             bad-request): retrying elsewhere cannot
-                             help, so fail the chunk's remaining
-                             bindings instead of bouncing them
-                             around the fleet forever *)
-                          let detail =
-                            match Serve.field resp "message" with
-                            | Some m -> m
-                            | None -> String.trim resp.Serve.rs_body
-                          in
-                          let msg =
-                            Printf.sprintf "sweep rejected (%s): %s"
-                              (Option.value
-                                 (Serve.field resp "code")
-                                 ~default:resp.Serve.rs_status)
-                              detail
-                          in
-                          Hashtbl.iter
-                            (fun i () -> record i (Error msg))
-                            remaining;
-                          Hashtbl.reset remaining;
-                          outcome := Some Chunk_done)
-                | Some _ -> ()  (* our heartbeat ping's answer *)
-                | None ->
-                    (* an untagged frame mid-sweep: [overloaded] at
-                       admission, or a desynced peer — either way
-                       this connection is not serving our chunk *)
-                    outcome :=
-                      Some
-                        (lost
-                           (Printf.sprintf "connection rejected: %s"
-                              resp.Serve.rs_status)))
-          end
-        done;
-        match !outcome with Some r -> r | None -> assert false
-      with e -> lost (Printexc.to_string e)
+              (* a request-level rejection (auth, bad-request): retrying
+                 elsewhere cannot help, so fail the chunk's remaining
+                 bindings instead of bouncing them around the fleet
+                 forever *)
+              let detail =
+                match Serve.field resp "message" with
+                | Some m -> m
+                | None -> String.trim resp.Serve.rs_body
+              in
+              fail_remaining
+                (Printf.sprintf "sweep rejected (%s): %s"
+                   (Option.value (Serve.field resp "code")
+                      ~default:resp.Serve.rs_status)
+                   detail);
+              `Done
+      in
+      match Client.stream ~deadline_ms ~heartbeat_ms client req on_frame with
+      | Ok () -> Chunk_done
+      | Error _ | (exception _) ->
+          Shard_lost { lv_leftover = leftover (); lv_progressed = !progressed }
     in
     let rec loop () =
       Mutex.lock sh.sh_mutex;
@@ -360,8 +282,7 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
           | Chunk_done ->
               fails := 0;
               loop ()
-          | Shard_lost { lv_leftover; lv_reason = _; lv_progressed } ->
-              close_conn ();
+          | Shard_lost { lv_leftover; lv_progressed } ->
               if lv_progressed then fails := 0;
               incr fails;
               (* re-queue BEFORE deciding whether to retire: the chunk
@@ -400,7 +321,7 @@ let run ?(chunk = 64) ?(heartbeat_ms = 1000) ?(deadline_ms = 0) ?(retries = 3)
     in
     Fun.protect
       ~finally:(fun () ->
-        close_conn ();
+        Client.close client;
         Mutex.lock sh.sh_mutex;
         sh.sh_live <- sh.sh_live - 1;
         Condition.broadcast sh.sh_cond;

@@ -12,14 +12,17 @@
 
     {2 Failure semantics}
 
-    A shard is declared lost when its connection drops, when the
-    per-chunk [deadline_ms] overruns, or when the daemon goes silent:
-    after [heartbeat_ms] without a frame the coordinator sends a
-    [ping] on the same connection (the daemon answers pings inline
-    even while a sweep streams), and a further silent [heartbeat_ms]
-    means the daemon is gone.  The connection is closed — so a
-    merely-slow daemon's late answers are dropped, not double-counted
-    — the chunk's unfinished bindings go back on the queue, and the
+    Each endpoint's worker sends its chunks as {!Client.stream}s over
+    its own single-endpoint {!Client}, so liveness is {!Client}'s
+    rule.  A shard is declared lost when its connection drops, when
+    the per-chunk [deadline_ms] overruns, or when the daemon goes
+    silent: after [heartbeat_ms] without a byte received (a frame
+    still arriving is not silence) the client sends a [ping] on the
+    same connection (the daemon answers pings inline even while a
+    sweep streams), and a further silent [heartbeat_ms] means the
+    daemon is gone.  The connection is closed — so a merely-slow
+    daemon's late answers are dropped, not double-counted — the
+    chunk's unfinished bindings go back on the queue, and the
     endpoint's worker retries after bounded exponential backoff with
     deterministic jitter.  [retries] consecutive no-progress failures
     open the endpoint's circuit (any recorded binding resets the
@@ -101,10 +104,10 @@ val run :
     [chunk] (default 64) bindings travel per frame; [heartbeat_ms]
     (default 1000) is the silence threshold described above ([0]
     disables liveness detection); [deadline_ms] (default 0 = off)
-    additionally bounds one chunk end to end.  Every read waits at
-    most until the nearer of the two, so either alone bounds it; with
-    both off a dead daemon hangs its worker forever.  The revival
-    probe's timeout is the same bound, or 1 s when both are off.
+    additionally bounds one chunk end to end.  Either alone bounds
+    every wait; with both off a dead daemon hangs its worker forever.
+    Connects, writes and the revival probe are bounded by the nearer
+    of the two (the probe by 1 s when both are off).
     [retries] (default
     3) consecutive no-progress failures open an endpoint's circuit;
     [backoff_ms] (default 100) seeds the exponential backoff (capped

@@ -1,8 +1,9 @@
 (* The analysis daemon.  Layering, bottom up:
 
    - frame I/O: length-prefixed, versioned, checksummed frames over a
-     file descriptor; one decision ([wire_fault]) picks the injected
-     wire fault for both frame writers;
+     file descriptor; one resumable decoder assembles every frame read,
+     and one decision ([wire_fault]) picks the injected wire fault for
+     both frame writers;
    - payload codec: a tiny line-oriented grammar shared by requests
      and responses;
    - the server: a single event loop (poll(2) via {!Poller}) in the
@@ -15,8 +16,8 @@
      connection costs a descriptor and a small record, not a thread,
      so thousands of idle connections are cheap; admission is bounded
      with load shedding, and stop drains gracefully;
-   - client helpers: the one sealed [send] and [recv] every client
-     path uses.
+   - client helpers: the one sealed [send] and the one response opener
+     ([open_response]) every client path uses.
 
    Robustness stance: everything a client can send is untrusted.
    Frame errors are classified; whatever still has a trustworthy
@@ -96,22 +97,66 @@ let of_be32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-(* [read_exact fd n]: all [n] bytes, or how the stream ended.  EINTR
-   restarts; EAGAIN/EWOULDBLOCK is the SO_RCVTIMEO idle timeout; a
-   reset peer reads as EOF. *)
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then `Ok (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> `Eof off
-      | r -> go (off + r)
-      | exception Unix.Unix_error (EINTR, _, _) -> go off
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> `Timeout
-      | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> `Eof off
+(* The one frame decoder.  Every reader of frames assembles them here
+   (the blocking [read_frame], the event loop and {!Client}'s reader),
+   so the magic, the length cap and the digest are checked nowhere
+   else.  It is resumable: each [decode] makes one read(2) of at most
+   the rest of the current stage (the header, then the digest and
+   payload), so a read that would block, or whose SO_RCVTIMEO expires,
+   leaves the partial frame in place for the next call, and no byte
+   past the current frame is ever consumed. *)
+type decoder = {
+  d_max : int;  (* largest accepted payload *)
+  mutable d_buf : Bytes.t;
+  mutable d_have : int;
+  mutable d_len : int;  (* declared payload length; -1 in the header *)
+}
+
+type progress = Frame of string | Partial | Blocked
+
+let default_max_frame = 4 * 1024 * 1024
+
+let decoder ?(max_bytes = default_max_frame) () =
+  { d_max = max_bytes; d_buf = Bytes.create header_len; d_have = 0; d_len = -1 }
+
+let rec decode d fd =
+  let want = if d.d_len < 0 then header_len else digest_len + d.d_len in
+  let eof () =
+    if d.d_len < 0 && d.d_have = 0 then Error Closed else Error Truncated
   in
-  go 0
+  match Unix.read fd d.d_buf d.d_have (want - d.d_have) with
+  | exception Unix.Unix_error (EINTR, _, _) -> decode d fd
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> Ok Blocked
+  (* a reset peer reads as EOF *)
+  | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> eof ()
+  | 0 -> eof ()
+  | r ->
+      d.d_have <- d.d_have + r;
+      if d.d_have < want then Ok Partial
+      else if d.d_len < 0 then begin
+        let header = Bytes.sub_string d.d_buf 0 header_len in
+        let len = of_be32 header (String.length magic) in
+        if String.sub header 0 (String.length magic) <> magic then
+          Error Bad_magic
+        else if len > d.d_max then Error (Oversized len)
+        else begin
+          d.d_len <- len;
+          d.d_have <- 0;
+          if Bytes.length d.d_buf < digest_len + len then
+            d.d_buf <- Bytes.create (digest_len + len);
+          Ok Partial
+        end
+      end
+      else begin
+        let digest = Bytes.sub_string d.d_buf 0 digest_len in
+        let payload = Bytes.sub_string d.d_buf digest_len d.d_len in
+        d.d_len <- -1;
+        d.d_have <- 0;
+        (* do not let one huge frame pin its buffer forever *)
+        if Bytes.length d.d_buf > 65536 then d.d_buf <- Bytes.create header_len;
+        if Digest.string payload <> digest then Error Bad_checksum
+        else Ok (Frame payload)
+      end
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -181,28 +226,18 @@ let write_frame ?faults fd payload =
       Unix.sleepf s;
       write_all fd (after_header data)
 
-let read_frame ?(max_bytes = 4 * 1024 * 1024) fd =
-  match read_exact fd header_len with
-  | `Timeout -> Error Timed_out
-  | `Eof 0 -> Error Closed
-  | `Eof _ -> Error Truncated
-  | `Ok header ->
-      if String.sub header 0 (String.length magic) <> magic then
-        Error Bad_magic
-      else
-        let len = of_be32 header (String.length magic) in
-        if len > max_bytes then Error (Oversized len)
-        else (
-          match read_exact fd (digest_len + len) with
-          | `Timeout -> Error Timed_out
-          | `Eof _ -> Error Truncated
-          | `Ok rest ->
-              let digest = String.sub rest 0 digest_len in
-              let payload =
-                String.sub rest digest_len (String.length rest - digest_len)
-              in
-              if Digest.string payload <> digest then Error Bad_checksum
-              else Ok payload)
+(* a decoder that lives for one frame: a timeout mid-frame takes the
+   partial frame with it *)
+let read_frame ?max_bytes fd =
+  let d = decoder ?max_bytes () in
+  let rec go () =
+    match decode d fd with
+    | Ok (Frame payload) -> Ok payload
+    | Ok Partial -> go ()
+    | Ok Blocked -> Error Timed_out
+    | Error e -> Error e
+  in
+  go ()
 
 (* ---------- payload codec ---------- *)
 
@@ -1123,16 +1158,10 @@ type wchunk = {
   wc_shutdown_after : bool;
 }
 
-type rstage = Header | Body of int  (* declared payload length *)
-
 type conn = {
   cn_fd : Unix.file_descr;
   cn_transport : string;
-  (* exact-length frame assembly: [cn_want] bytes finish the stage *)
-  mutable cn_buf : Bytes.t;
-  mutable cn_have : int;
-  mutable cn_want : int;
-  mutable cn_stage : rstage;
+  cn_dec : decoder;
   cn_wq : wchunk Queue.t;
   mutable cn_pending : int;  (* held units: requests not yet answered *)
   mutable cn_serial_busy : bool;  (* an untagged request is unanswered *)
@@ -1571,81 +1600,27 @@ let serve t =
     conn.cn_closing <- true;
     maybe_close conn
   in
-  let eof conn =
-    match conn.cn_stage with
-    | Header when conn.cn_have = 0 ->
-        (* a finished client: just let the connection go *)
-        conn.cn_closing <- true;
-        maybe_close conn
-    | _ -> frame_err conn Truncated
-  in
   let pump_reads conn =
     (* cap the frames handled per readiness event so one firehose
        connection cannot starve the rest of the loop *)
     let budget = ref 64 in
     let continue = ref true in
     while !continue && want_read conn && !budget > 0 do
-      match
-        Unix.read conn.cn_fd conn.cn_buf conn.cn_have
-          (conn.cn_want - conn.cn_have)
-      with
-      | 0 ->
-          continue := false;
-          eof conn
-      | r ->
-          conn.cn_have <- conn.cn_have + r;
+      match decode conn.cn_dec conn.cn_fd with
+      | Ok Blocked -> continue := false
+      | Ok Partial -> conn.cn_last_rx <- Unix.gettimeofday ()
+      | Ok (Frame payload) ->
           conn.cn_last_rx <- Unix.gettimeofday ();
-          if conn.cn_have = conn.cn_want then begin
-            match conn.cn_stage with
-            | Header ->
-                if
-                  Bytes.sub_string conn.cn_buf 0 (String.length magic)
-                  <> magic
-                then begin
-                  continue := false;
-                  frame_err conn Bad_magic
-                end
-                else
-                  let len =
-                    of_be32
-                      (Bytes.sub_string conn.cn_buf 0 header_len)
-                      (String.length magic)
-                  in
-                  if len > cfg.cfg_max_frame_bytes then begin
-                    continue := false;
-                    frame_err conn (Oversized len)
-                  end
-                  else begin
-                    conn.cn_stage <- Body len;
-                    conn.cn_want <- digest_len + len;
-                    conn.cn_have <- 0;
-                    if Bytes.length conn.cn_buf < conn.cn_want then
-                      conn.cn_buf <- Bytes.create conn.cn_want
-                  end
-            | Body len ->
-                let digest = Bytes.sub_string conn.cn_buf 0 digest_len in
-                let payload =
-                  Bytes.sub_string conn.cn_buf digest_len len
-                in
-                conn.cn_stage <- Header;
-                conn.cn_want <- header_len;
-                conn.cn_have <- 0;
-                (* do not let one huge frame pin its buffer forever *)
-                if Bytes.length conn.cn_buf > 65536 then
-                  conn.cn_buf <- Bytes.create header_len;
-                decr budget;
-                if Digest.string payload <> digest then begin
-                  continue := false;
-                  frame_err conn Bad_checksum
-                end
-                else process_payload conn payload
-          end
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error (EINTR, _, _) -> ()
-      | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) ->
+          decr budget;
+          process_payload conn payload
+      | Error Closed ->
+          (* a finished client: just let the connection go *)
           continue := false;
-          eof conn
+          conn.cn_closing <- true;
+          maybe_close conn
+      | Error e ->
+          continue := false;
+          frame_err conn e
       | exception Unix.Unix_error (_, _, _) ->
           continue := false;
           Queue.clear conn.cn_wq;
@@ -1689,10 +1664,7 @@ let serve t =
               {
                 cn_fd = fd;
                 cn_transport = Endpoint.transport ep;
-                cn_buf = Bytes.create header_len;
-                cn_have = 0;
-                cn_want = header_len;
-                cn_stage = Header;
+                cn_dec = decoder ~max_bytes:cfg.cfg_max_frame_bytes ();
                 cn_wq = Queue.create ();
                 cn_pending = 0;
                 cn_serial_busy = false;
@@ -1887,28 +1859,29 @@ let serve t =
 let connect ?io_timeout_ms path =
   Endpoint.connect ?io_timeout_ms (Endpoint.Unix_sock path)
 
-(* The one sealed send and receive every client path shares: with a
-   secret, requests go out sealed and only sealed responses are
+(* The one sealed send and response opener every client path shares:
+   with a secret, requests go out sealed and only sealed responses are
    accepted, since a secret-bearing daemon seals everything it sends. *)
 let send ?faults ?auth_secret ?id fd req =
   write_frame ?faults fd (seal auth_secret (encode_request ?id req))
+
+let open_response ?auth_secret payload =
+  let payload =
+    match auth_secret with
+    | None -> Ok payload
+    | Some secret -> (
+        match Auth.verify ~secret payload with
+        | `Ok stripped -> Ok stripped
+        | `Missing | `Bad -> Error "response failed authentication")
+  in
+  Result.bind payload parse_response
 
 let recv ?max_bytes ?auth_secret fd =
   match read_frame ?max_bytes fd with
   | Error Timed_out -> Error `Timeout
   | Error e -> Error (`Failed (frame_error_to_string e))
-  | Ok payload -> (
-      let payload =
-        match auth_secret with
-        | None -> Ok payload
-        | Some secret -> (
-            match Auth.verify ~secret payload with
-            | `Ok stripped -> Ok stripped
-            | `Missing | `Bad -> Error "response failed authentication")
-      in
-      match Result.bind payload parse_response with
-      | Ok r -> Ok r
-      | Error m -> Error (`Failed m))
+  | Ok payload ->
+      Result.map_error (fun m -> `Failed m) (open_response ?auth_secret payload)
 
 let roundtrip ?faults ?max_bytes ?auth_secret fd req =
   match send ?faults ?auth_secret fd req with

@@ -122,7 +122,27 @@ val write_frame : ?faults:Faults.t -> Unix.file_descr -> string -> unit
 val read_frame :
   ?max_bytes:int -> Unix.file_descr -> (string, frame_error) result
 (** Read one frame's payload ([max_bytes] caps the declared length;
-    default 4 MiB). *)
+    default 4 MiB).  A blocking one-shot read: after a {!Timed_out}
+    mid-frame the bytes already read are lost, so the descriptor is
+    unusable.  A long-lived reader that waits out socket timeouts uses
+    a {!decoder} instead. *)
+
+type decoder
+(** The resumable frame decoder behind {!read_frame}, the daemon's
+    event loop and {!Client}'s reader: the one place the magic, the
+    length cap and the digest are checked.  It keeps a partial frame
+    across calls and never reads past the frame it is assembling. *)
+
+val decoder : ?max_bytes:int -> unit -> decoder
+
+type progress = Frame of string | Partial | Blocked
+
+val decode : decoder -> Unix.file_descr -> (progress, frame_error) result
+(** One read(2) into the current frame: a whole verified payload, some
+    bytes ([Partial]), or none ([Blocked]: the read would block or the
+    socket timeout expired).  An error ends the stream ({!Closed} only
+    at a frame boundary); read errors other than EINTR, EAGAIN,
+    ECONNRESET and EPIPE are raised. *)
 
 (** {1 Requests and responses} *)
 
@@ -305,8 +325,9 @@ val stats : t -> server_stats
 (** {1 Low-level client helpers}
 
     One blocking request per connection, no pooling, no pipelining —
-    kept for tests and scripts that drive the frame layer directly.
-    Real clients should use {!Client}. *)
+    kept for tests and scripts that drive the frame layer directly,
+    and for {!Client}'s one-shot probes.  Real clients should use
+    {!Client}. *)
 
 val connect : ?io_timeout_ms:int -> string -> Unix.file_descr
 (** Connect to a daemon's Unix socket
@@ -328,17 +349,21 @@ val send :
     [auth_secret] ({!Auth.seal}) and write it ({!write_frame}, which
     applies [faults]).  Raises as {!write_frame} does. *)
 
+val open_response :
+  ?auth_secret:string -> string -> (response, string) result
+(** Verify and parse one response payload.  With [auth_secret] only a
+    sealed response with a valid MAC is accepted, since a
+    secret-bearing daemon seals everything it sends. *)
+
 val recv :
   ?max_bytes:int ->
   ?auth_secret:string ->
   Unix.file_descr ->
   (response, [ `Timeout | `Failed of string ]) result
-(** Read, verify and parse one response frame.  With [auth_secret]
-    only a sealed response with a valid MAC is accepted, since a
-    secret-bearing daemon seals everything it sends.  [`Timeout] is
-    the socket timeout expiring before a whole frame arrived (what a
-    pipelined reader or a heartbeat waits out); [`Failed] is every
-    other failure, described. *)
+(** {!read_frame} then {!open_response}.  [`Timeout] is the socket
+    timeout expiring before a whole frame arrived (the descriptor is
+    then unusable, see {!read_frame}); [`Failed] is every other
+    failure, described. *)
 
 val roundtrip :
   ?faults:Faults.t ->

@@ -21,7 +21,13 @@
    - coordinator timeouts: against a listener that never answers, the
      chunk deadline ends every read even with the heartbeat off, or
      when it is nearer than the heartbeat, and the revival probe is
-     bounded too, so [run] returns;
+     bounded too, so [run] returns; a daemon that stalls every frame
+     between header and payload for longer than the heartbeat is not
+     lost, because a frame still arriving is not silence;
+   - client wake-ups: an idle pooled ping is answered in a round trip,
+     not a polling interval; a frame split across reader ticks is
+     still answered; a tick ends a request at its deadline, and the
+     pool serves the next one;
    - the supervised fleet, over real processes: [mira supervise] runs
      three daemons; one is SIGKILLed mid-sweep and then SIGKILLed
      again after its restart; both generations are respawned, the
@@ -526,6 +532,103 @@ let timeout_tests =
                     ~retries:0 [ ep ] (coordinator_bindings 4))
             in
             check int "nothing finished" 0 stats.Coordinator.co_finished));
+    test_case "a frame still arriving is not silence" `Quick (fun () ->
+        (* every frame stalls 1.3 s between its header and its payload,
+           longer than the 1 s heartbeat: the bytes of the header are
+           the sign of life, and the half-read frame must survive the
+           reads that time out around it *)
+        let stall =
+          { Faults.none with Faults.seed; slow_p = 1.0; slow_ms = 1300 }
+        in
+        with_daemon ~wait:false
+          ~cfg:(fun c -> { c with Serve.cfg_faults = Some stall })
+          [ unix_ep () ]
+          (fun ~eps _server ->
+            let results, stats =
+              within ~seconds:15.0 "run against a slow daemon" (fun () ->
+                  Coordinator.run ~heartbeat_ms:1000 ~retries:0 eps
+                    (coordinator_bindings 1))
+            in
+            check int "no daemon lost" 0 stats.Coordinator.co_daemons_lost;
+            match results with
+            | [| Ok resp |] ->
+                check string "answered ok" "ok" resp.Serve.rs_status
+            | [| Error m |] -> failf "binding unanswered: %s" m
+            | _ -> fail "one binding, one result"));
+  ]
+
+(* ---------- client wake-ups ---------- *)
+
+let ping_ok pool =
+  match Client.request pool Serve.Ping with
+  | Ok { Serve.rs_status = "ok"; _ } -> ()
+  | Ok r -> Alcotest.failf "ping answered %s" r.Serve.rs_status
+  | Error m -> Alcotest.failf "ping: %s" m
+
+let client_tests =
+  let open Alcotest in
+  [
+    test_case "an idle pooled ping is not held back by polling" `Quick
+      (fun () ->
+        with_daemon [ unix_ep () ] (fun ~eps _server ->
+            Client.with_pool eps (fun pool ->
+                ping_ok pool;
+                let lat =
+                  Array.init 200 (fun _ ->
+                      let t0 = Unix.gettimeofday () in
+                      ping_ok pool;
+                      Unix.gettimeofday () -. t0)
+                in
+                Array.sort compare lat;
+                let p50_ms = lat.(100) *. 1000.0 in
+                if p50_ms >= 0.5 then
+                  failf "ping p50 %.3f ms, want under 0.5 ms" p50_ms)));
+    test_case "a frame split across reader ticks is still answered" `Quick
+      (fun () ->
+        (* a 300 ms stall between every frame's header and payload:
+           the reader wakes on several 50 ms ticks mid-frame *)
+        let stall =
+          { Faults.none with Faults.seed; slow_p = 1.0; slow_ms = 300 }
+        in
+        with_daemon ~wait:false
+          ~cfg:(fun c -> { c with Serve.cfg_faults = Some stall })
+          [ unix_ep () ]
+          (fun ~eps _server ->
+            Client.with_pool eps (fun pool ->
+                let t0 = Unix.gettimeofday () in
+                within ~seconds:5.0 "a stalled ping" (fun () -> ping_ok pool);
+                check bool "the frame was split" true
+                  (Unix.gettimeofday () -. t0 >= 0.3))));
+    test_case "a tick ends a request at its deadline; the pool serves on"
+      `Quick (fun () ->
+        (* every analysis stalls its worker for 2 s (and every frame
+           2 s on the wire) *)
+        let stall =
+          { Faults.none with Faults.seed; slow_p = 1.0; slow_ms = 2000 }
+        in
+        with_daemon ~wait:false
+          ~cfg:(fun c -> { c with Serve.cfg_faults = Some stall })
+          [ unix_ep () ]
+          (fun ~eps _server ->
+            (* no retries: one attempt, one deadline *)
+            Client.with_pool ~retries:0 eps (fun pool ->
+                let t0 = Unix.gettimeofday () in
+                let eval =
+                  Serve.Eval
+                    { ev_name = "saxpy"; ev_source = saxpy;
+                      ev_function = "saxpy_chain";
+                      ev_params = [ ("n", 64); ("reps", 2) ];
+                      ev_budget = Serve.no_budget }
+                in
+                (match Client.request ~deadline_ms:300 pool eval with
+                | Ok _ -> fail "a stalled eval was answered in 300 ms"
+                | Error m ->
+                    check bool "the deadline error" true
+                      (contains m "deadline"));
+                let dt = Unix.gettimeofday () -. t0 in
+                if dt >= 1.0 then failf "the deadline took %.2f s" dt;
+                within ~seconds:10.0 "the next request" (fun () ->
+                    ping_ok pool))));
   ]
 
 (* ---------- the supervised fleet, over real processes ---------- *)
@@ -883,6 +986,7 @@ let () =
       ("breakers", breaker_tests);
       ("revival", revival_tests);
       ("coordinator timeouts", timeout_tests);
+      ("client wake-ups", client_tests);
       ("supervised fleet", fleet_tests);
       ("merge race", merge_race_tests);
       ("cli", cli_tests);
