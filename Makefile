@@ -102,10 +102,16 @@ serve-smoke: build
 # endpoint must be refused.  Then the sharded-batch path: two disjoint
 # --shard runs into separate caches, "mira cache merge" unions them,
 # and a full batch against the merged cache must run entirely warm
-# ("0 analyzed").  Survivors must drain cleanly on SIGTERM.  Last, a
+# ("0 analyzed").  Survivors must drain cleanly on SIGTERM.  Then a
 # daemon that stalls every frame 1.3 s between header and payload must
 # not be declared lost by a 1 s heartbeat: a frame still arriving is
-# not silence, so its one binding is answered.
+# not silence, so its one binding is answered.  Last, revival through
+# the CLI: the 200-binding sweep runs on a daemon that stalls every
+# frame 20 ms (about 5 s alone) beside an endpoint whose daemon starts
+# only 0.2 s into the sweep.  That endpoint's circuit opens, its
+# half-open probe succeeds once the daemon is up, and the late daemon
+# must report a nonzero served count when it drains; every answer
+# still arrives in input order.
 cluster-smoke: build
 	timeout --kill-after=10 120 sh -ec ' \
 	  exe=./_build/default/bin/mira.exe; \
@@ -158,7 +164,22 @@ cluster-smoke: build
 	    --heartbeat-ms 1000 --dispatch-retries 0 > $$dir/slow.out; \
 	  [ $$(wc -l < $$dir/slow.out) -eq 1 ]; \
 	  [ $$(grep -c "^ok " $$dir/slow.out) -eq 1 ]; \
-	  kill -TERM $$pid4; wait $$pid4'
+	  kill -TERM $$pid4; wait $$pid4; \
+	  $$exe serve --endpoint unix:$$dir/stall.sock \
+	    --faults seed=1,slow=1,slow_ms=20 > /dev/null & pid5=$$!; \
+	  i=0; until $$exe client ping --endpoint unix:$$dir/stall.sock \
+	      >/dev/null 2>&1; do \
+	    i=$$((i+1)); [ $$i -lt 100 ] || exit 1; sleep 0.05; done; \
+	  ( sleep 0.2; exec $$exe serve --endpoint unix:$$dir/late.sock ) \
+	    > $$dir/late.log & pid6=$$!; \
+	  $$exe eval-sweep $$dir/sweep.txt --endpoint unix:$$dir/stall.sock \
+	    --endpoint unix:$$dir/late.sock --chunk 4 --dispatch-retries 1 \
+	    > $$dir/revive.out; \
+	  cut -d" " -f1-5 $$dir/revive.out | diff - $$dir/expect.txt; \
+	  kill -TERM $$pid5 $$pid6; wait $$pid5; wait $$pid6; \
+	  served=$$(sed -n "s/^mira serve: drained; \([0-9]*\) served.*/\1/p" \
+	    $$dir/late.log); \
+	  echo "late daemon served $$served"; [ "$$served" -gt 0 ]'
 
 # Watch-mode smoke, both surfaces end to end.  Daemon path: a real
 # daemon watches a 3-file tree (a.mc's g is also defined in b.mc and

@@ -978,14 +978,14 @@ let serve_cmd =
 
 (* The exit code a response maps to: the one status-to-exit mapping,
    shared by text and JSON rendering and by eval-sweep.  Its order is
-   the taxonomy's: transport/internal (3) > budget/overload (2) >
-   analysis (1). *)
+   the taxonomy's: transport/internal (3) > budget (2) > analysis (1).
+   A shed connection is a transport failure: the pool never returns
+   the daemon's overloaded frame. *)
 let response_code = function
   | Error _ -> exit_internal
   | Ok resp -> (
       match resp.Mira_core.Serve.rs_status with
       | "ok" -> 0
-      | "overloaded" -> exit_budget
       | "error" -> (
           match Mira_core.Serve.field resp "code" with
           | Some ("budget" | "timeout") -> exit_budget
@@ -1030,7 +1030,6 @@ let render_response r =
               [ "state"; "inflight"; "max-inflight"; "workers"; "served";
                 "failed" ]
           else print_endline "ok"
-      | "overloaded" -> Printf.eprintf "error: server overloaded, retry later\n"
       | "error" ->
           Printf.eprintf "error: %s\n"
             (Option.value (field "message") ~default:"unknown error")
@@ -1668,8 +1667,11 @@ let eval_sweep_cmd =
       value & opt int 3
       & info [ "dispatch-retries" ] ~docv:"N"
           ~doc:
-            "Consecutive no-progress dispatch failures before an endpoint \
-             is retired (any completed evaluation resets the count).")
+            "Extra attempts a chunk gets before its first answer, on \
+             another daemon when there is one.  Independently, two \
+             consecutive failures open a daemon's circuit: it gets no \
+             chunks until its cooldown (0.5 s, doubling per trip up to \
+             8 s) has passed, and then one chunk as a probe.")
   in
   Cmd.v
     (Cmd.info "eval-sweep"

@@ -132,8 +132,10 @@ let make_conn ~io_timeout_ms ?auth_secret ep =
 (* One tagged request on an open connection: wait for pipeline room,
    send, then hand each response frame to [on_frame] on this thread,
    in arrival order, until it answers [`Done].  Returns the outcome and
-   how many frames [on_frame] saw.  Every exit gives back the room it
-   took and forgets the slot, so later frames for it are dropped. *)
+   how many frames [on_frame] saw; [`Unsent] is a deadline that passed
+   while the pipeline stayed full, [`Lost] a failed connection.  Every
+   exit gives back the room it took and forgets the slot, so later
+   frames for it are dropped. *)
 let exchange conn ~max_inflight ~deadline_ms ~heartbeat_ms req on_frame =
   let secs ms = if ms <= 0 then infinity else float_of_int ms /. 1000.0 in
   let deadline = Unix.gettimeofday () +. secs deadline_ms in
@@ -187,12 +189,16 @@ let exchange conn ~max_inflight ~deadline_ms ~heartbeat_ms req on_frame =
     end
     else
       match conn.c_dead with
-      | Some m -> finish (Error ("connection: " ^ m))
+      | Some m -> finish (Error (`Lost ("connection: " ^ m)))
+      | None when now >= deadline && !tag = None ->
+          (* never sent: the requests holding the pipeline may be
+             healthy, so this one fails alone *)
+          finish (Error (`Unsent "request deadline exceeded before it was sent"))
       | None when now >= deadline ->
           (* wedged or merely slow?  Undecidable from here — treat the
              connection as lost so nothing queues behind it *)
           die conn "request deadline exceeded";
-          finish (Error "request deadline exceeded (daemon wedged?)")
+          finish (Error (`Lost "request deadline exceeded (daemon wedged?)"))
       | None when !tag = None && conn.c_inflight < max_inflight ->
           tag := send req;
           Option.iter
@@ -205,7 +211,7 @@ let exchange conn ~max_inflight ~deadline_ms ~heartbeat_ms req on_frame =
       | None when !tag <> None && !pinged > heard && now -. !pinged >= beat ->
           (* the ping went unanswered too: the daemon is gone *)
           die conn "heartbeat timeout";
-          finish (Error "heartbeat timeout")
+          finish (Error (`Lost "heartbeat timeout"))
       | None when !tag <> None && !pinged <= heard && now -. heard >= beat ->
           (* a silent interval: ask, on the same connection — the daemon
              answers pings inline whatever it is doing *)
@@ -250,6 +256,7 @@ type t = {
   p_retries : int;
   p_closed : bool Atomic.t;
   p_auth_secret : string option;
+  p_tripped : int Atomic.t;  (* closed circuits that opened *)
   p_reopened : int Atomic.t;  (* half-open probes that closed the circuit *)
 }
 
@@ -257,6 +264,7 @@ type breaker_stats = {
   bk_closed : int;
   bk_open : int;
   bk_half_open : int;
+  bk_tripped : int;
   bk_reopened : int;
 }
 
@@ -291,6 +299,7 @@ let create ?(io_timeout_ms = 30_000) ?(max_inflight = 8) ?(retries = 2)
     p_retries = max 0 retries;
     p_closed = Atomic.make false;
     p_auth_secret = auth_secret;
+    p_tripped = Atomic.make 0;
     p_reopened = Atomic.make 0;
   }
 
@@ -309,10 +318,9 @@ let breaker_stats t =
     bk_closed = !closed;
     bk_open = !opened;
     bk_half_open = !half;
+    bk_tripped = Atomic.get t.p_tripped;
     bk_reopened = Atomic.get t.p_reopened;
   }
-
-let endpoints t = Array.to_list (Array.map (fun s -> s.e_ep) t.p_eps)
 
 let idempotent = function
   | Serve.Shutdown -> false
@@ -334,7 +342,7 @@ let drop_conn st =
   Mutex.unlock st.e_mu;
   match c with None -> () | Some c -> kill c "connection replaced"
 
-let breaker_fail st =
+let breaker_fail t st =
   Mutex.lock st.e_mu;
   (match st.e_breaker with
   | Half_open ->
@@ -345,7 +353,8 @@ let breaker_fail st =
       st.e_fails <- st.e_fails + 1;
       if st.e_fails >= trip_after then begin
         st.e_trips <- st.e_trips + 1;
-        st.e_breaker <- Open (Unix.gettimeofday () +. cooldown st.e_trips)
+        st.e_breaker <- Open (Unix.gettimeofday () +. cooldown st.e_trips);
+        Atomic.incr t.p_tripped
       end
   | Open _ -> ());
   Mutex.unlock st.e_mu;
@@ -448,9 +457,10 @@ let stream ?deadline_ms ?(heartbeat_ms = 0) t req on_frame =
     if attempt >= attempts then Error last_err
     else
       let st = pick ?avoid t in
+      let named m = Endpoint.to_string st.e_ep ^ ": " ^ m in
       let failed m =
-        breaker_fail st;
-        Endpoint.to_string st.e_ep ^ ": " ^ m
+        breaker_fail t st;
+        named m
       in
       let retry m = go ~avoid:st (attempt + 1) (failed m) in
       match get_conn t st with
@@ -467,9 +477,11 @@ let stream ?deadline_ms ?(heartbeat_ms = 0) t req on_frame =
           | Ok (), _ ->
               breaker_ok t st;
               Ok ()
-          | Error m, 0 -> retry m
+          (* nothing reached the daemon, so nothing is known about it *)
+          | Error (`Unsent m), _ -> Error (named m)
+          | Error (`Lost m), 0 -> retry m
           (* frames already delivered: a retry could repeat them *)
-          | Error m, _ -> Error (failed m))
+          | Error (`Lost m), _ -> Error (failed m))
   in
   if Atomic.get t.p_closed then Error "client pool is closed"
   else go 0 "no endpoints"

@@ -39,23 +39,28 @@
     probe; its success closes the circuit — a daemon revived by the
     {!Supervisor} rejoins dispatch, counted in
     {!breaker_stats}[.bk_reopened] — while failure re-opens it with a
-    longer cooldown.  For {e idempotent} requests ([ping], [stats],
-    [health], [analyze], [eval]: all side-effect-free on the daemon),
-    a failure also retries on another endpoint (never the one that
-    just failed, when the pool has more than one), up to [retries]
-    extra attempts.  [shutdown] is
-    not idempotent and is {e never} retried: if its connection dies
-    before the acknowledgement arrives, the caller gets the transport
-    error and must decide for itself.  A shed connection (the
-    untagged [overloaded] frame a saturated daemon sends at accept) is
-    a transport failure like any other.  A stream is retried only
-    before its first frame.
+    longer cooldown.  Two consecutive failures open a closed circuit
+    (counted in [bk_tripped]); the first cooldown is 0.5 s, and it
+    doubles per trip up to 8 s.  For {e idempotent} requests ([ping],
+    [stats], [health], [analyze], [eval]: all side-effect-free on the
+    daemon), a failure also retries on another endpoint (never the one
+    that just failed, when the pool has more than one), up to
+    [retries] extra attempts.  [shutdown] is not idempotent and is
+    {e never} retried: if its connection dies before the
+    acknowledgement arrives, the caller gets the transport error and
+    must decide for itself.  A shed connection (the untagged
+    [overloaded] frame a saturated daemon sends at accept) is a
+    transport failure like any other.  A stream is retried only before
+    its first frame.
 
     A deadline overrun or a heartbeat timeout closes its connection:
     whether the daemon is wedged or merely slow cannot be
     distinguished, and the other in-flight requests on that connection
     fail fast (and are retried elsewhere when idempotent) instead of
-    queueing behind a corpse. *)
+    queueing behind a corpse.  A request whose deadline passes while it
+    still waits for pipeline room was never sent, so it fails alone:
+    its connection stays open, its endpoint's breaker is not touched,
+    and it is not retried. *)
 
 type t
 
@@ -78,12 +83,14 @@ val create :
     peer is not the daemon this pool was configured for).  No
     connection is opened until the first request needs it. *)
 
-val endpoints : t -> Endpoint.t list
-
 type breaker_stats = {
   bk_closed : int;  (** endpoints passing traffic *)
   bk_open : int;  (** endpoints being skipped (cooling down) *)
   bk_half_open : int;  (** endpoints with a probe in flight *)
+  bk_tripped : int;
+      (** cumulative closed → open transitions: endpoints written off
+          after consecutive failures (a failed half-open probe re-opens
+          a circuit without counting here) *)
   bk_reopened : int;
       (** cumulative half-open → closed transitions: dead endpoints
           that came back and rejoined dispatch *)
@@ -97,7 +104,7 @@ val request :
 (** One request through the pool: its first response frame.
     [deadline_ms] (default [io_timeout_ms]) bounds the wait for this
     response; an overrun is a transport error (and closes the
-    connection — see above).  [Error] means no daemon could be reached
+    connection once the request is on the wire — see above).  [Error] means no daemon could be reached
     within the retry budget; server-side failures arrive as [Ok]
     responses with [rs_status = "error"].  [Serve.Sweep] and
     [Serve.Reanalyze] are refused with an [Error]: their responses
@@ -164,8 +171,7 @@ val wait_ready : ?timeout_s:float -> ?auth_secret:string -> Endpoint.t -> bool
 type health = Ready | Starting | Draining | Unreachable
 
 val probe : ?auth_secret:string -> timeout_ms:int -> Endpoint.t -> health
-(** One readiness probe, the one {!Supervisor} and {!Coordinator}
-    share: connect (bounded, like the exchange, by [timeout_ms]), send
+(** One readiness probe, {!Supervisor}'s: connect (bounded, like the exchange, by [timeout_ms]), send
     [health] — sealed with [auth_secret] when given, which a
     secret-bearing [tcp:] daemon requires — classify the answer's
     [state], close.  A daemon that answers without a [state] field (an

@@ -12,39 +12,42 @@
 
     {2 Failure semantics}
 
-    Each endpoint's worker sends its chunks as {!Client.stream}s over
-    its own single-endpoint {!Client}, so liveness is {!Client}'s
-    rule.  A shard is declared lost when its connection drops, when
-    the per-chunk [deadline_ms] overruns, or when the daemon goes
-    silent: after [heartbeat_ms] without a byte received (a frame
-    still arriving is not silence) the client sends a [ping] on the
-    same connection (the daemon answers pings inline even while a
-    sweep streams), and a further silent [heartbeat_ms] means the
-    daemon is gone.  The connection is closed — so a merely-slow
-    daemon's late answers are dropped, not double-counted — the
-    chunk's unfinished bindings go back on the queue, and the
-    endpoint's worker retries after bounded exponential backoff with
-    deterministic jitter.  [retries] consecutive no-progress failures
-    open the endpoint's circuit (any recorded binding resets the
-    counter): the loss is counted in [co_daemons_lost] and the worker
-    stops dispatching into the dead endpoint — but instead of retiring
-    outright it half-open probes the endpoint (a [health] roundtrip
-    every 200 ms, up to [revive_ms]) while other workers keep serving,
-    so a daemon brought back by the {!Supervisor} {e rejoins the
-    running sweep} ([co_revived]).  The probe gives up — and the
-    worker retires for good — when the sweep finishes without it, when
-    no other worker is actively serving (an all-dead fleet terminates
-    promptly, exactly as before), or when [revive_ms] elapses.
+    One {!Client} pool over every endpoint carries the chunks, one
+    chunk in flight per daemon, each a {!Client.stream}; whether a
+    daemon is dead is the pool's rule alone.  A chunk fails when its
+    connection drops, when the per-chunk [deadline_ms] overruns, or
+    when the daemon goes silent: after [heartbeat_ms] without a byte
+    received (a frame still arriving is not silence) the client sends
+    a [ping] on the same connection (the daemon answers pings inline
+    even while a sweep streams), and a further silent [heartbeat_ms]
+    means the daemon is gone.  The connection is closed — so a
+    merely-slow daemon's late answers are dropped, not double-counted
+    — and the chunk's unfinished bindings go back on the queue.  A
+    chunk that fails before its first answer is first retried inside
+    the pool, up to [retries] times, on another daemon when there is
+    one.
+
+    Every failure counts against its endpoint's circuit breaker, and
+    two consecutive failures open it ([co_daemons_lost] counts these
+    closed → open transitions).  The pool then sends nothing to that
+    endpoint until its cooldown has passed (0.5 s, doubling per trip
+    up to 8 s); the next chunk after that is its half-open probe.  A
+    probe that succeeds closes the circuit, so a daemon brought back
+    by the {!Supervisor} {e rejoins the running sweep}
+    ([co_revived]); one that fails re-opens it for longer.  Dispatch
+    stops once every binding is answered, or once no endpoint's
+    circuit is closed or half-open: an all-dead fleet ends the run
+    promptly.
 
     Every binding is answered {e exactly once}: results are recorded
     first-wins under one lock (late duplicates are counted, not
     stored), and the queue invariant — every unfinished binding is
-    either queued or held by a live worker, re-queued {e before} a
-    worker retires — means nothing is stranded short of whole-fleet
-    death.  When every endpoint is lost, [run] returns with the
-    survivors' partial results and {!stats}' [co_unfinished] naming
-    the bindings that were never answered (the CLI turns that into
-    exit 3 and a report).
+    either queued or held by a running dispatcher, which re-queues
+    its leftovers before taking more — means nothing is stranded
+    short of whole-fleet death.  When every endpoint is lost, [run]
+    returns with the survivors' partial results and {!stats}'
+    [co_unfinished] naming the bindings that were never answered (the
+    CLI turns that into exit 3 and a report).
 
     A {e request-level} error frame (an [auth] rejection, a
     [bad-request]) is not a shard loss: retrying elsewhere cannot
@@ -68,14 +71,15 @@ type stats = {
       (** bindings re-queued after a shard loss (a binding lost twice
           counts twice) *)
   co_daemons_lost : int;
-      (** circuit-open events: endpoints that stopped answering after
-          repeated failures (an endpoint lost, revived and lost again
-          counts twice) *)
+      (** closed → open circuit transitions
+          ({!Client.breaker_stats}[.bk_tripped]): endpoints written
+          off after consecutive failures (an endpoint lost, revived
+          and lost again counts twice) *)
   co_duplicates : int;
       (** late answers dropped by first-wins recording *)
   co_revived : int;
-      (** lost endpoints that answered a half-open probe and rejoined
-          the sweep *)
+      (** lost endpoints whose half-open probe succeeded, so they
+          rejoined the sweep ({!Client.breaker_stats}[.bk_reopened]) *)
   co_unfinished : int list;
       (** binding indices never answered (whole-fleet death only),
           ascending *)
@@ -87,7 +91,6 @@ val run :
   ?deadline_ms:int ->
   ?retries:int ->
   ?backoff_ms:int ->
-  ?revive_ms:int ->
   ?auth_secret:string ->
   ?budget:Serve.budget_request ->
   ?on_progress:(finished:int -> total:int -> unit) ->
@@ -105,19 +108,16 @@ val run :
     (default 1000) is the silence threshold described above ([0]
     disables liveness detection); [deadline_ms] (default 0 = off)
     additionally bounds one chunk end to end.  Either alone bounds
-    every wait; with both off a dead daemon hangs its worker forever.
-    Connects, writes and the revival probe are bounded by the nearer
-    of the two (the probe by 1 s when both are off).
-    [retries] (default
-    3) consecutive no-progress failures open an endpoint's circuit;
-    [backoff_ms] (default 100) seeds the exponential backoff (capped
-    at 5 s); [revive_ms] (default 10 000) bounds the half-open
-    revival wait described above ([0] restores permanent
-    retirement).  With [auth_secret] every frame is sealed and every
-    response must verify ({!Auth}); an unverifiable response is a
-    shard loss, not data.  [budget] is the per-binding clamp shared
-    by the whole sweep.  [on_progress] is called after each newly
-    recorded binding, from whichever worker thread recorded it.
+    every wait; with both off a dead daemon hangs its dispatcher
+    forever.  Connects and writes are bounded by the nearer of the
+    two.  [retries] (default 3) is the pool's: the extra attempts a
+    chunk gets before its first answer.  [backoff_ms] (default 100)
+    is the pause a dispatcher takes after a failed chunk.  With
+    [auth_secret] every frame is sealed and every response must
+    verify ({!Auth}); an unverifiable response is a shard loss, not
+    data.  [budget] is the per-binding clamp shared by the whole
+    sweep.  [on_progress] is called after each newly
+    recorded binding, from whichever dispatcher thread recorded it.
 
     Raises [Invalid_argument] on an empty endpoint list, a
     non-positive [chunk], or a [bd_name] bound to two different

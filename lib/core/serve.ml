@@ -1876,23 +1876,15 @@ let open_response ?auth_secret payload =
   in
   Result.bind payload parse_response
 
-let recv ?max_bytes ?auth_secret fd =
-  match read_frame ?max_bytes fd with
-  | Error Timed_out -> Error `Timeout
-  | Error e -> Error (`Failed (frame_error_to_string e))
-  | Ok payload ->
-      Result.map_error (fun m -> `Failed m) (open_response ?auth_secret payload)
-
 let roundtrip ?faults ?max_bytes ?auth_secret fd req =
   match send ?faults ?auth_secret fd req with
   | exception Unix.Unix_error (e, _, _) ->
       Error ("write: " ^ Unix.error_message e)
   | exception Faults.Injected site -> Error ("injected: " ^ site)
   | () -> (
-      match recv ?max_bytes ?auth_secret fd with
-      | Ok r -> Ok r
-      | Error `Timeout -> Error (frame_error_to_string Timed_out)
-      | Error (`Failed m) -> Error m)
+      match read_frame ?max_bytes fd with
+      | Error e -> Error (frame_error_to_string e)
+      | Ok payload -> open_response ?auth_secret payload)
 
 let wait_ready ?(timeout_s = 5.0) path =
   let deadline = Unix.gettimeofday () +. timeout_s in

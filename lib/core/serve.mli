@@ -355,16 +355,6 @@ val open_response :
     sealed response with a valid MAC is accepted, since a
     secret-bearing daemon seals everything it sends. *)
 
-val recv :
-  ?max_bytes:int ->
-  ?auth_secret:string ->
-  Unix.file_descr ->
-  (response, [ `Timeout | `Failed of string ]) result
-(** {!read_frame} then {!open_response}.  [`Timeout] is the socket
-    timeout expiring before a whole frame arrived (the descriptor is
-    then unusable, see {!read_frame}); [`Failed] is every other
-    failure, described. *)
-
 val roundtrip :
   ?faults:Faults.t ->
   ?max_bytes:int ->
@@ -372,8 +362,8 @@ val roundtrip :
   Unix.file_descr ->
   request ->
   (response, string) result
-(** One request/response exchange on an open connection: {!send}
-    then {!recv}.  Not suitable for [Sweep] or [Reanalyze] (multiple
+(** One request/response exchange on an open connection: {!send},
+    then {!read_frame} and {!open_response}.  Not suitable for [Sweep] or [Reanalyze] (multiple
     response frames). *)
 
 val wait_ready : ?timeout_s:float -> string -> bool

@@ -11,23 +11,26 @@
      restart-storm breaker; a child that runs but never answers
      [health] is wedge-killed and restarted until the breaker trips;
      [stop] drains the fleet and returns [Drained];
-   - client breakers: repeated failures open an endpoint's circuit,
-     and once a daemon appears there the elapsed-cooldown half-open
-     probe closes it again ([bk_reopened]);
+   - client breakers: repeated failures open an endpoint's circuit
+     ([bk_tripped]), and once a daemon appears there the
+     elapsed-cooldown half-open probe closes it again ([bk_reopened])
+     without counting a second trip;
    - coordinator revival: an endpoint dead at sweep start is lost
      ([co_daemons_lost]), then revived by its half-open probe when a
      daemon comes up mid-sweep, and rejoins ([co_revived]) — every
      binding still answered exactly once;
    - coordinator timeouts: against a listener that never answers, the
      chunk deadline ends every read even with the heartbeat off, or
-     when it is nearer than the heartbeat, and the revival probe is
-     bounded too, so [run] returns; a daemon that stalls every frame
-     between header and payload for longer than the heartbeat is not
-     lost, because a frame still arriving is not silence;
+     when it is nearer than the heartbeat, so [run] returns; a daemon
+     that stalls every frame between header and payload for longer
+     than the heartbeat is not lost, because a frame still arriving is
+     not silence;
    - client wake-ups: an idle pooled ping is answered in a round trip,
      not a polling interval; a frame split across reader ticks is
      still answered; a tick ends a request at its deadline, and the
-     pool serves the next one;
+     pool serves the next one; a request whose deadline passes while
+     it waits for pipeline room fails alone, and the request on the
+     wire is still answered;
    - the supervised fleet, over real processes: [mira supervise] runs
      three daemons; one is SIGKILLed mid-sweep and then SIGKILLed
      again after its restart; both generations are respawned, the
@@ -42,7 +45,8 @@
    - CLI: [eval-sweep --pipeline] (deprecated through PR 9, removed
      in PR 10) is rejected as an unknown option; [supervise] refuses
      an unprobeable [tcp:...:0] endpoint and a secret passed only
-     through [--serve-arg]. *)
+     through [--serve-arg]; [mira client] shed by a saturated daemon
+     exits 3 and names the endpoint. *)
 
 open Mira_core
 
@@ -356,6 +360,7 @@ let breaker_tests =
             | Ok _ -> fail "a dead endpoint answered");
             let st = Client.breaker_stats pool in
             check int "circuit open" 1 st.Client.bk_open;
+            check int "one trip" 1 st.Client.bk_tripped;
             check int "nothing reopened yet" 0 st.Client.bk_reopened;
             (* revive the endpoint, outlive the first-trip cooldown
                (0.5 s), and the next request must ride the half-open
@@ -367,6 +372,7 @@ let breaker_tests =
                 | Error m -> failf "half-open probe failed: %s" m);
                 let st = Client.breaker_stats pool in
                 check int "circuit closed again" 1 st.Client.bk_closed;
+                check int "still one trip" 1 st.Client.bk_tripped;
                 check int "reopen counted" 1 st.Client.bk_reopened)));
   ]
 
@@ -629,6 +635,46 @@ let client_tests =
                 if dt >= 1.0 then failf "the deadline took %.2f s" dt;
                 within ~seconds:10.0 "the next request" (fun () ->
                     ping_ok pool))));
+    test_case "a request waiting for pipeline room fails alone" `Quick
+      (fun () ->
+        (* every analysis stalls its worker for 1 s (and every frame
+           1 s on the wire), and the pool has one pipeline slot *)
+        let stall =
+          { Faults.none with Faults.seed; slow_p = 1.0; slow_ms = 1000 }
+        in
+        with_daemon ~wait:false
+          ~cfg:(fun c -> { c with Serve.cfg_faults = Some stall })
+          [ unix_ep () ]
+          (fun ~eps _server ->
+            Client.with_pool ~max_inflight:1 ~retries:0 eps (fun pool ->
+                let eval =
+                  Serve.Eval
+                    { ev_name = "saxpy"; ev_source = saxpy;
+                      ev_function = "saxpy_chain";
+                      ev_params = [ ("n", 64); ("reps", 2) ];
+                      ev_budget = Serve.no_budget }
+                in
+                let answer = ref None in
+                let th =
+                  Thread.create
+                    (fun () ->
+                      answer := Some (Client.request ~deadline_ms:10_000 pool eval))
+                    ()
+                in
+                (* the eval takes the slot; the ping waits behind it *)
+                Unix.sleepf 0.2;
+                (match Client.request ~deadline_ms:300 pool Serve.Ping with
+                | Ok _ -> fail "a ping without pipeline room was answered"
+                | Error m ->
+                    check bool "the deadline error" true
+                      (contains m "deadline"));
+                within ~seconds:10.0 "the eval on the wire" (fun () ->
+                    Thread.join th);
+                match !answer with
+                | Some (Ok r) ->
+                    check string "the eval is answered" "ok" r.Serve.rs_status
+                | Some (Error m) -> failf "eval: %s" m
+                | None -> fail "the eval never returned")));
   ]
 
 (* ---------- the supervised fleet, over real processes ---------- *)
@@ -976,6 +1022,41 @@ let cli_tests =
         List.iter
           (fun f -> try Sys.remove f with Sys_error _ -> ())
           [ secret_file; out ]);
+    test_case "a shed client call exits 3 and names its endpoint" `Quick
+      (fun () ->
+        (* the daemon sheds at accept with an untagged overloaded frame;
+           the pool reads that as a transport failure *)
+        with_daemon ~wait:false
+          ~cfg:(fun c -> { c with Serve.cfg_max_inflight = 1 })
+          [ unix_ep () ]
+          (fun ~eps _server ->
+            let ep = Endpoint.to_string (List.hd eps) in
+            let fd = Endpoint.connect ~io_timeout_ms:2_000 (List.hd eps) in
+            let out = temp_name "mira-shed-out" in
+            let err = temp_name "mira-shed-err" in
+            Fun.protect
+              ~finally:(fun () ->
+                (try Unix.close fd with Unix.Unix_error _ -> ());
+                List.iter
+                  (fun f -> try Sys.remove f with Sys_error _ -> ())
+                  [ out; err ])
+              (fun () ->
+                (* an answered ping: this connection holds the one slot *)
+                (match Serve.roundtrip fd Serve.Ping with
+                | Ok { Serve.rs_status = "ok"; _ } -> ()
+                | Ok r -> failf "raw ping answered %s" r.Serve.rs_status
+                | Error m -> failf "raw ping: %s" m);
+                let pid =
+                  spawn_capture
+                    [| mira_exe; "client"; "ping"; "--endpoint"; ep |]
+                    out err
+                in
+                (match wait_exit pid with
+                | Unix.WEXITED 3 -> ()
+                | Unix.WEXITED c -> failf "expected exit 3, got %d" c
+                | _ -> fail "mira client did not exit normally");
+                check bool "stderr names the endpoint" true
+                  (contains (read_file err) ep))));
   ]
 
 let () =
