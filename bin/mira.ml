@@ -1931,9 +1931,8 @@ let dataset_cmd =
           Printf.eprintf "error: at least one --sweep axis is required\n";
           exit 124
         end;
-        let m =
-          Mira_core.Mira.analyze ~level ~source_name:file (read_file file)
-        in
+        let text = read_file file in
+        let m = Mira_core.Mira.analyze ~level ~source_name:file text in
         let model = m.Mira_core.Mira.model in
         let archs =
           if archs = [] then [ Mira_arch.Archdesc.arya ] else archs
@@ -1946,11 +1945,11 @@ let dataset_cmd =
             (fun mn -> List.mem mn Mira_core.Model_eval.fp_mnemonics)
             mns
         in
-        (* per arch: the compiled program when one exists, else an
-           interpreter plan — rows are identical either way *)
+        (* per arch: the compiled program when one exists, else the
+           interpreter once per row *)
         let eval_row =
           let cache = Mira_core.Model_compile.create_cache () in
-          let digest = Digest.string (Mira_core.Mira.python_model m) in
+          let digest = Mira_core.Batch.key ~level text in
           fun (arch : Mira_arch.Archdesc.t) ->
             match
               Mira_core.Model_compile.get cache ~digest ~arch ~model ~fname
@@ -1962,18 +1961,10 @@ let dataset_cmd =
                   let out = Mira_core.Model_compile.run runner args in
                   (out, Mira_core.Model_compile.cycles prog out)
             | Error _ ->
-                let plan =
-                  Mira_core.Model_eval.plan model ~fname
-                    ~params:(vars @ List.map fst fixed)
-                in
-                let env = Array.make (List.length vars + List.length fixed) 0 in
-                List.iteri
-                  (fun i (_, v) -> env.(List.length vars + i) <- v)
-                  fixed;
-                let out = Array.make (Array.length mns) 0.0 in
                 fun args ->
-                  Array.blit args 0 env 0 (Array.length args);
-                  Mira_core.Model_eval.run_plan_into plan env out;
+                  let env = List.mapi (fun i v -> (v, args.(i))) vars @ fixed in
+                  let counts = Mira_core.Model_eval.eval model ~fname ~env in
+                  let out = Array.of_list (List.map snd counts) in
                   let cycles = ref 0.0 in
                   Array.iteri
                     (fun i mn ->

@@ -65,17 +65,21 @@ type stats = {
 
 (* ---------- content addressing ---------- *)
 
-(* bumped from mira-batch-2: Model_ir.fmodel gained mf_update_py, so
-   payloads marshalled by older releases decode at the wrong type —
-   versioning the key keeps them from ever being looked up (they age
-   out under the old version via gc_disk) *)
-let cache_version = "mira-batch-3"
+(* bumped from mira-batch-3: model parameters no longer include
+   variables of bindings the callee never reads, and the emitted Python
+   renames parameters that shadow its own names, so older payloads
+   hold other models and other Python — versioning the key keeps them
+   from ever being looked up (they age out under the old version via
+   gc_disk) *)
+let cache_version = "mira-batch-4"
 
 (* the function tier versions independently of the file tier: it keys
    marshalled Metric_gen.part values, whose layout can change without
    the file payloads changing (and vice versa) *)
-(* bumped from mira-fn-1: parts now carry precomputed free vars *)
-let fn_cache_version = "mira-fn-2"
+(* bumped from mira-fn-2: a part's free vars no longer include its
+   call-site bindings', and its Update chunks rename shadowing
+   parameters *)
+let fn_cache_version = "mira-fn-3"
 
 let level_tag = function
   | Mira_codegen.Codegen.O0 -> "O0"

@@ -133,7 +133,9 @@ let make_conn ~io_timeout_ms ?auth_secret ep =
    send, then hand each response frame to [on_frame] on this thread,
    in arrival order, until it answers [`Done].  Returns the outcome and
    how many frames [on_frame] saw; [`Unsent] is a deadline that passed
-   while the pipeline stayed full, [`Lost] a failed connection.  Every
+   while the pipeline stayed full, [`Unwritten] a connection that died
+   while this request still waited for room, [`Lost] a connection that
+   failed this request's own write or its answer.  Every
    exit gives back the room it took and forgets the slot, so later
    frames for it are dropped. *)
 let exchange conn ~max_inflight ~deadline_ms ~heartbeat_ms req on_frame =
@@ -141,6 +143,7 @@ let exchange conn ~max_inflight ~deadline_ms ~heartbeat_ms req on_frame =
   let deadline = Unix.gettimeofday () +. secs deadline_ms in
   let beat = secs heartbeat_ms in
   let frames = Queue.create () and tag = ref None and seen = ref 0 in
+  let tried = ref false in
   let sent_at = ref 0.0 and pinged = ref 0.0 in
   (* one tagged frame out, with [c_mu] held (writes are serialized);
      a failed write kills the connection *)
@@ -189,6 +192,8 @@ let exchange conn ~max_inflight ~deadline_ms ~heartbeat_ms req on_frame =
     end
     else
       match conn.c_dead with
+      | Some m when not !tried ->
+          finish (Error (`Unwritten ("connection: " ^ m)))
       | Some m -> finish (Error (`Lost ("connection: " ^ m)))
       | None when now >= deadline && !tag = None ->
           (* never sent: the requests holding the pipeline may be
@@ -200,6 +205,7 @@ let exchange conn ~max_inflight ~deadline_ms ~heartbeat_ms req on_frame =
           die conn "request deadline exceeded";
           finish (Error (`Lost "request deadline exceeded (daemon wedged?)"))
       | None when !tag = None && conn.c_inflight < max_inflight ->
+          tried := true;
           tag := send req;
           Option.iter
             (fun id ->
@@ -479,6 +485,8 @@ let stream ?deadline_ms ?(heartbeat_ms = 0) t req on_frame =
               Ok ()
           (* nothing reached the daemon, so nothing is known about it *)
           | Error (`Unsent m), _ -> Error (named m)
+          (* the requests on the wire are charged for the death *)
+          | Error (`Unwritten m), _ -> go ~avoid:st (attempt + 1) (named m)
           | Error (`Lost m), 0 -> retry m
           (* frames already delivered: a retry could repeat them *)
           | Error (`Lost m), _ -> Error (failed m))

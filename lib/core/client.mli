@@ -60,7 +60,10 @@
     queueing behind a corpse.  A request whose deadline passes while it
     still waits for pipeline room was never sent, so it fails alone:
     its connection stays open, its endpoint's breaker is not touched,
-    and it is not retried. *)
+    and it is not retried.  A request still waiting for room when its
+    connection dies was never sent either: the death counts once, for
+    the requests on the wire, and the waiting request is retried like
+    any other. *)
 
 type t
 

@@ -19,7 +19,7 @@ let prepare ?(level = Mira_codegen.Codegen.O1) ~source_name source =
   (* The analysis AST is folded the same way the compiler folds (spans
      are preserved), so the metric generator's value propagation sees
      the expressions the binary actually implements; the compiler
-     still parses its own copy. *)
+     then compiles this same AST. *)
   let parsed = Mira_srclang.Parser.parse source in
   let parsed =
     match level with
@@ -37,8 +37,11 @@ let prepare ?(level = Mira_codegen.Codegen.O1) ~source_name source =
   }
 
 let process_prepared pr =
+  (* compiled from the prepared AST, not re-parsed from the text: the
+     object bytes are the same (see [process_function]) *)
   let object_bytes =
-    Mira_codegen.Codegen.compile_to_object ~level:pr.pr_level pr.pr_source
+    Mira_visa.Objfile.encode
+      (Mira_codegen.Codegen.compile_ast ~level:pr.pr_level pr.pr_ast)
   in
   let binast = Mira_visa.Binast.of_object object_bytes in
   {

@@ -516,29 +516,17 @@ and walk_stmt ctx ~par (sd : sdoms) (scale : float) (st : stmt) =
 
 (* ---------- model parameters ---------- *)
 
+(* The variables of the function's own multiplicities.  Call-site
+   bindings are left to [compute_params]: a binding is read only when
+   the callee's model reads the parameter it binds. *)
 let local_free_vars (entries : Model_ir.entry list) =
-  let s =
-    List.fold_left
-      (fun s e ->
-        match e with
-        | Model_ir.Update { mult; _ } ->
-            List.fold_left (fun s v -> S.add v s) s
-              (Model_ir.free_vars_of_mult mult)
-        | Model_ir.Call_site { mult; bindings; _ } ->
-            let s =
-              List.fold_left (fun s v -> S.add v s) s
-                (Model_ir.free_vars_of_mult mult)
-            in
-            List.fold_left
-              (fun s (_, b) ->
-                match b with
-                | Model_ir.Bound p ->
-                    List.fold_left (fun s v -> S.add v s) s (Poly.vars p)
-                | Model_ir.Unbound name -> S.add name s)
-              s bindings)
-      S.empty entries
-  in
-  s
+  List.fold_left
+    (fun s e ->
+      match e with
+      | Model_ir.Update { mult; _ } | Model_ir.Call_site { mult; _ } ->
+          List.fold_left (fun s v -> S.add v s) s
+            (Model_ir.free_vars_of_mult mult))
+    S.empty entries
 
 (* What one function contributes to the model, before the
    whole-program parameter fixpoint: everything here is computable
@@ -564,8 +552,10 @@ type part = {
          text, not re-render those expressions *)
 }
 
-(* Fixpoint over the call graph: a caller inherits callee model
-   parameters that its call sites leave unbound. *)
+(* Fixpoint over the call graph: for each parameter of a callee's
+   model, a caller reads the variables of the call site's binding, or
+   inherits the parameter itself when the call site leaves it unbound.
+   The result is exactly the set of names each model reads. *)
 let compute_params (fns : part list) : (string * string list) list =
   let params = Hashtbl.create 16 in
   List.iter
@@ -587,7 +577,13 @@ let compute_params (fns : part list) : (string * string list) list =
                   | Some callee_params ->
                       S.fold
                         (fun p acc ->
-                          if List.mem_assoc p bindings then acc else S.add p acc)
+                          match List.assoc_opt p bindings with
+                          | Some (Model_ir.Bound poly) ->
+                              List.fold_left
+                                (fun acc v -> S.add v acc)
+                                acc (Poly.vars poly)
+                          | Some (Model_ir.Unbound name) -> S.add name acc
+                          | None -> S.add p acc)
                         callee_params acc)
               | Model_ir.Update _ -> acc)
             S.empty entries

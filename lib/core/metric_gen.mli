@@ -25,9 +25,10 @@ type part = {
   fp_entries : Model_ir.entry list;
   fp_warnings : string list;
   fp_free : string list;
-      (** free model variables of [fp_entries], precomputed so the
-          assembly fixpoint never re-walks the (possibly very large)
-          multiplicity expressions *)
+      (** free model variables of [fp_entries]' multiplicities (not
+          of call-site bindings), precomputed so the assembly fixpoint
+          never re-walks the (possibly very large) multiplicity
+          expressions *)
   fp_update_py : string option list;
       (** {!Python_emit.update_chunk} per entry, precomputed so
           emission of a cache-served function splices stored text *)

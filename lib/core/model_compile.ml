@@ -4,13 +4,6 @@ open Mira_arch
 
 exception Not_compilable of string
 
-type mode = Inclusive | Exclusive | Split
-
-let who_of_mode = function
-  | Inclusive -> "Model_eval.eval"
-  | Exclusive -> "Model_eval.eval_exclusive"
-  | Split -> "Model_eval.eval_split"
-
 (* ------------------------------------------------------------------ *)
 (* Symbolic values: the partial-evaluation IR                          *)
 (* ------------------------------------------------------------------ *)
@@ -222,17 +215,14 @@ let bind_s lookup (poly : Poly.t) : s =
   let y = poly_s lookup scaled in
   if d = 1 then y else sfdiv y d
 
-(* Accumulate symbolic (serial, parallel) contributions per mnemonic,
-   mirroring Model_eval's recursive walk with callee models inlined by
-   call multiplicity. *)
-let gather ctx ~inline_calls ~fname (lookup : string -> s) :
-    (string, s * s) Hashtbl.t =
+(* Accumulate symbolic contributions per mnemonic, mirroring
+   Model_eval's walk with callee models inlined by call
+   multiplicity. *)
+let gather ctx ~fname (lookup : string -> s) : (string, s) Hashtbl.t =
   let tbl = Hashtbl.create 32 in
-  let add mn (ds, dp) =
-    let s0, p0 =
-      Option.value ~default:(Sconst 0.0, Sconst 0.0) (Hashtbl.find_opt tbl mn)
-    in
-    Hashtbl.replace tbl mn (sadd s0 ds, sadd p0 dp)
+  let add mn v =
+    let s0 = Option.value ~default:(Sconst 0.0) (Hashtbl.find_opt tbl mn) in
+    Hashtbl.replace tbl mn (sadd s0 v)
   in
   let rec go depth fname lookup scale_into =
     if depth > max_depth then
@@ -245,47 +235,35 @@ let gather ctx ~inline_calls ~fname (lookup : string -> s) :
         | Model_ir.Update { counts; mult; _ } ->
             let m = mult_s ctx lookup mult in
             List.iter
-              (fun (mn, c) ->
-                let v = smul m (Sconst (float_of_int c)) in
-                scale_into mn mult.parallel v)
+              (fun (mn, c) -> scale_into mn (smul m (Sconst (float_of_int c))))
               counts
         | Model_ir.Call_site { callee; bindings; mult; _ } -> (
-            if inline_calls then
-              match Model_ir.find ctx.model callee with
-              | None -> ()  (* extern: call cost already counted *)
-              | Some cm ->
-                  let cenv =
-                    List.map
-                      (fun p ->
-                        let v =
-                          match List.assoc_opt p bindings with
-                          | Some (Model_ir.Bound poly) -> bind_s lookup poly
-                          | Some (Model_ir.Unbound name) -> lookup name
-                          | None -> lookup p
-                        in
-                        (p, v))
-                      cm.mf_params
-                  in
-                  let clookup name =
-                    match List.assoc_opt name cenv with
-                    | Some v -> v
-                    | None ->
-                        raise (Model_eval.Missing_parameter (callee, name))
-                  in
-                  let m = mult_s ctx lookup mult in
-                  let scale_sub mn sub_parallel v =
-                    (* a parallel call site makes the whole callee
-                       parallel *)
-                    let parallel = mult.parallel || sub_parallel in
-                    scale_into mn parallel (smul m v)
-                  in
-                  go (depth + 1) callee clookup scale_sub))
+            match Model_ir.find ctx.model callee with
+            | None -> ()  (* extern: call cost already counted *)
+            | Some cm ->
+                let cenv =
+                  List.map
+                    (fun p ->
+                      let v =
+                        match List.assoc_opt p bindings with
+                        | Some (Model_ir.Bound poly) -> bind_s lookup poly
+                        | Some (Model_ir.Unbound name) -> lookup name
+                        | None -> lookup p
+                      in
+                      (p, v))
+                    cm.mf_params
+                in
+                let clookup name =
+                  match List.assoc_opt name cenv with
+                  | Some v -> v
+                  | None -> raise (Model_eval.Missing_parameter (callee, name))
+                in
+                let m = mult_s ctx lookup mult in
+                go (depth + 1) callee clookup (fun mn v ->
+                    scale_into mn (smul m v))))
       fm.mf_entries
   in
-  let top mn parallel v =
-    add mn (if parallel then (Sconst 0.0, v) else (v, Sconst 0.0))
-  in
-  go 0 fname lookup top;
+  go 0 fname lookup add;
   tbl
 
 (* ------------------------------------------------------------------ *)
@@ -310,19 +288,12 @@ type prog = {
   p_init : float array;  (* initial register image (consts preloaded) *)
   p_ops : op array;
   p_out : int array;  (* result register per mnemonic *)
-  p_out_par : int array;  (* Split mode: parallel result registers *)
-  p_mode : mode;
   p_fp : bool array;  (* fp_mnemonics membership, in p_mnemonics order *)
   p_cost : float array;  (* per-mnemonic cycles; [||] without an arch *)
-  p_arch : string option;
-  p_clock_ghz : float;
 }
 
 let params p = p.p_params
 let mnemonics p = p.p_mnemonics
-let prog_mode p = p.p_mode
-let n_regs p = p.p_nregs
-let prog_arch p = p.p_arch
 
 (* Structural keys for common-subexpression elimination.  Commutative
    ops are normalized (IEEE +,*,min,max are exactly commutative for
@@ -477,13 +448,13 @@ let rec creg_s b (v : s) : int =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile ?arch ?(mode = Inclusive) (model : Model_ir.t) ~fname ~sweep
-    ~fixed : prog =
-  (match Model_ir.find model fname with
-  | Some _ -> ()
-  | None -> invalid_arg (who_of_mode mode ^ ": no model for " ^ fname));
-  let inclusive = mode <> Exclusive in
-  let mns = Model_eval.mnemonic_order model ~fname ~inclusive in
+let compile ?arch (model : Model_ir.t) ~fname ~sweep ~fixed : prog =
+  let fm =
+    match Model_ir.find model fname with
+    | Some fm -> fm
+    | None -> invalid_arg ("Model_eval.eval: no model for " ^ fname)
+  in
+  let mns = Model_eval.mnemonic_order model ~fname ~inclusive:true in
   let lookup name =
     if List.mem name sweep then Spoly (Poly.var name)
     else
@@ -491,8 +462,10 @@ let compile ?arch ?(mode = Inclusive) (model : Model_ir.t) ~fname ~sweep
       | Some v -> Sconst (float_of_int v)
       | None -> raise (Model_eval.Missing_parameter (fname, name))
   in
+  (* the interpreter's up-front check, so both raise for the same name *)
+  List.iter (fun p -> ignore (lookup p)) fm.mf_params;
   let ctx = { model; work = 0 } in
-  let tbl = gather ctx ~inline_calls:inclusive ~fname lookup in
+  let tbl = gather ctx ~fname lookup in
   let b =
     {
       nreg = List.length sweep;
@@ -505,26 +478,12 @@ let compile ?arch ?(mode = Inclusive) (model : Model_ir.t) ~fname ~sweep
     }
   in
   List.iteri (fun i v -> Hashtbl.replace b.var_reg v i) sweep;
-  let value_of mn =
-    Option.value ~default:(Sconst 0.0, Sconst 0.0) (Hashtbl.find_opt tbl mn)
-  in
-  let p_out, p_out_par =
-    match mode with
-    | Split ->
-        let os =
-          Array.map (fun mn -> creg_s b (fst (value_of mn))) mns
-        in
-        let op =
-          Array.map (fun mn -> creg_s b (snd (value_of mn))) mns
-        in
-        (os, op)
-    | Inclusive | Exclusive ->
-        ( Array.map
-            (fun mn ->
-              let s, p = value_of mn in
-              creg_s b (sadd s p))
-            mns,
-          [||] )
+  let p_out =
+    Array.map
+      (fun mn ->
+        creg_s b
+          (Option.value ~default:(Sconst 0.0) (Hashtbl.find_opt tbl mn)))
+      mns
   in
   let init = Array.make (max b.nreg 1) 0.0 in
   Hashtbl.iter (fun c r -> init.(r) <- c) b.consts;
@@ -536,15 +495,11 @@ let compile ?arch ?(mode = Inclusive) (model : Model_ir.t) ~fname ~sweep
     p_init = init;
     p_ops = Array.of_list (List.rev b.ops_rev);
     p_out;
-    p_out_par;
-    p_mode = mode;
     p_fp = Array.map (fun m -> List.mem m Model_eval.fp_mnemonics) mns;
     p_cost =
       (match arch with
       | None -> [||]
       | Some a -> Array.map (fun m -> Archdesc.cost_of_mnemonic a m) mns);
-    p_arch = (match arch with None -> None | Some a -> Some a.Archdesc.name);
-    p_clock_ghz = (match arch with None -> 0.0 | Some a -> a.Archdesc.clock_ghz);
   }
 
 (* Structural soundness of a program — everything [run]'s unsafe
@@ -557,11 +512,9 @@ let validate (p : prog) : bool =
   && Array.length p.p_init = n
   && Array.length p.p_params <= n
   && Array.length p.p_out = nm
-  && (Array.length p.p_out_par = 0 || Array.length p.p_out_par = nm)
   && Array.length p.p_fp = nm
   && (Array.length p.p_cost = 0 || Array.length p.p_cost = nm)
   && Array.for_all reg p.p_out
-  && Array.for_all reg p.p_out_par
   && Array.for_all
        (fun op ->
          match op with
@@ -577,19 +530,13 @@ let validate (p : prog) : bool =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type runner = {
-  r_prog : prog;
-  r_regs : float array;
-  r_out : float array;
-  r_out_par : float array;
-}
+type runner = { r_prog : prog; r_regs : float array; r_out : float array }
 
 let runner p =
   {
     r_prog = p;
     r_regs = Array.copy p.p_init;
     r_out = Array.make (Array.length p.p_mnemonics) 0.0;
-    r_out_par = Array.make (Array.length p.p_out_par) 0.0;
   }
 
 (* The hot loop: no allocation, no bounds checks (the program is
@@ -642,21 +589,6 @@ let run (r : runner) (args : int array) : float array =
   done;
   out
 
-let run_split (r : runner) (args : int array) : float array * float array =
-  if r.r_prog.p_mode <> Split then
-    invalid_arg "Model_compile.run_split: program not compiled with ~mode:Split";
-  exec r args;
-  let regs = r.r_regs in
-  let out = r.r_out and po = r.r_prog.p_out in
-  for i = 0 to Array.length po - 1 do
-    Array.unsafe_set out i (Array.unsafe_get regs (Array.unsafe_get po i))
-  done;
-  let out2 = r.r_out_par and pp = r.r_prog.p_out_par in
-  for i = 0 to Array.length pp - 1 do
-    Array.unsafe_set out2 i (Array.unsafe_get regs (Array.unsafe_get pp i))
-  done;
-  (out, out2)
-
 let args_of_env (p : prog) env =
   Array.map
     (fun name ->
@@ -669,12 +601,6 @@ let eval (p : prog) ~env : (string * float) list =
   let r = runner p in
   let out = run r (args_of_env p env) in
   Array.to_list (Array.mapi (fun i m -> (m, out.(i))) p.p_mnemonics)
-
-let eval_split (p : prog) ~env : (string * (float * float)) list =
-  let r = runner p in
-  let out, out2 = run_split r (args_of_env p env) in
-  Array.to_list
-    (Array.mapi (fun i m -> (m, (out.(i), out2.(i)))) p.p_mnemonics)
 
 (* Derived metrics with arch constants folded at compile time. *)
 
@@ -692,9 +618,6 @@ let cycles (p : prog) (out : float array) =
   let acc = ref 0.0 in
   Array.iteri (fun i c -> acc := !acc +. (c *. out.(i))) p.p_cost;
   !acc
-
-let seconds (p : prog) (out : float array) =
-  cycles p out /. (p.p_clock_ghz *. 1e9)
 
 (* ------------------------------------------------------------------ *)
 (* Program cache: two Store tiers                                      *)
@@ -730,12 +653,10 @@ let stats c =
     fallbacks = r.Store.mem_hits + r.Store.stores;
   }
 
-let cache_version = "mira-prog-1"
-
-let mode_tag = function Inclusive -> "i" | Exclusive -> "x" | Split -> "s"
+let cache_version = "mira-prog-2"
 
 (* The content key: anything that can change the compiled program. *)
-let key ~digest ?arch ~mode ~fname ~sweep ~fixed () =
+let key ~digest ?arch ~fname ~sweep ~fixed () =
   let b = Buffer.create 160 in
   let add s =
     Buffer.add_string b s;
@@ -744,7 +665,6 @@ let key ~digest ?arch ~mode ~fname ~sweep ~fixed () =
   add cache_version;
   add digest;
   add fname;
-  add (mode_tag mode);
   List.iter add sweep;
   add "|";
   List.iter (fun (k, v) -> add (Printf.sprintf "%s=%d" k v)) fixed;
@@ -762,9 +682,9 @@ let key ~digest ?arch ~mode ~fname ~sweep ~fixed () =
    cache version.  Raises like [compile] for model / parameter errors;
    "not compilable" is an [Error] so callers fall back to the
    interpreter. *)
-let get c ~digest ?arch ?(mode = Inclusive) ~model ~fname ~sweep ~fixed () :
+let get c ~digest ?arch ~model ~fname ~sweep ~fixed () :
     (prog, string) result =
-  let k = key ~digest ?arch ~mode ~fname ~sweep ~fixed () in
+  let k = key ~digest ?arch ~fname ~sweep ~fixed () in
   let find t = Store.find t ~faults:None ~retries:0 k in
   let add t v = Store.add t ~faults:None ~retries:0 k v in
   match find c.c_rejected with
@@ -773,7 +693,7 @@ let get c ~digest ?arch ?(mode = Inclusive) ~model ~fname ~sweep ~fixed () :
       match find c.c_progs with
       | Some (p, _) -> Ok p
       | None -> (
-          match compile ?arch ~mode model ~fname ~sweep ~fixed with
+          match compile ?arch model ~fname ~sweep ~fixed with
           | p ->
               add c.c_progs p;
               Ok p

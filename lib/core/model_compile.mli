@@ -23,19 +23,15 @@
     sweep variable) are rejected with {!Not_compilable}; callers fall
     back to the interpreter.
 
-    Programs contain only plain data and are cacheable: {!cache}
-    keys them by (model digest, arch, fname, sweep set, fixed values,
-    mode). *)
+    A program computes the {!Model_eval.eval} shape: callees spliced
+    in, one count per mnemonic.  Programs contain only plain data and
+    are cacheable: {!cache} keys them by (model digest, arch, fname,
+    sweep set, fixed values). *)
 
 exception Not_compilable of string
 (** The model has no closed form under the requested sweep set (or
     blew a compile-time size/depth cap).  Evaluate with {!Model_eval}
     instead. *)
-
-type mode =
-  | Inclusive  (** callees spliced in — the {!Model_eval.eval} shape *)
-  | Exclusive  (** own entries only — {!Model_eval.eval_exclusive} *)
-  | Split  (** (serial, parallel) pairs — {!Model_eval.eval_split} *)
 
 (** {1 Programs} *)
 
@@ -44,7 +40,6 @@ type prog
 
 val compile :
   ?arch:Mira_arch.Archdesc.t ->
-  ?mode:mode ->
   Model_ir.t ->
   fname:string ->
   sweep:string list ->
@@ -52,15 +47,14 @@ val compile :
   prog
 (** Compile [fname] of the model with the given sweep variables (the
     program's inputs, in this order) and fixed parameter values.
-    [arch] folds per-mnemonic cycle costs and the clock into the
-    program so {!cycles}/{!seconds} work; counts themselves are
-    arch-independent.  [mode] defaults to [Inclusive].
+    [arch] folds per-mnemonic cycle costs into the program so
+    {!cycles} works; counts themselves are arch-independent.
     @raise Not_compilable when no closed form exists (see above).
     @raise Model_eval.Missing_parameter when the model references a
     parameter that is neither swept nor fixed — the same error
     interpreted evaluation raises.
     @raise Invalid_argument on unknown function names (same message as
-    the corresponding {!Model_eval} entry point). *)
+    {!Model_eval.eval}). *)
 
 val params : prog -> string array
 (** Input slot order (= the [sweep] list passed to {!compile}). *)
@@ -69,9 +63,6 @@ val mnemonics : prog -> string array
 (** Canonical sorted output order, identical to the mnemonic set of
     the corresponding {!Model_eval} result. *)
 
-val prog_mode : prog -> mode
-val prog_arch : prog -> string option
-val n_regs : prog -> int
 val validate : prog -> bool
 (** Structural soundness (register indices in range …) — what the
     unchecked hot loop relies on; used to screen disk-loaded
@@ -91,15 +82,9 @@ val run : runner -> int array -> float array
     array is the runner's internal buffer — read it before the next
     [run], don't hold it.  Allocation-free. *)
 
-val run_split : runner -> int array -> float array * float array
-(** Split-mode variant: (serial, parallel) buffers. *)
-
 val eval : prog -> env:(string * int) list -> (string * float) list
 (** One-shot convenience with the {!Model_eval.eval} result shape.
     @raise Model_eval.Missing_parameter when [env] lacks an input. *)
-
-val eval_split :
-  prog -> env:(string * int) list -> (string * (float * float)) list
 
 (** {1 Derived metrics (arch constants folded at compile time)} *)
 
@@ -108,8 +93,6 @@ val fpi : prog -> float array -> float
 
 val cycles : prog -> float array -> float
 (** @raise Invalid_argument if compiled without [?arch]. *)
-
-val seconds : prog -> float array -> float
 
 (** {1 The program cache} *)
 
@@ -139,23 +122,21 @@ val cache_version : string
 val key :
   digest:string ->
   ?arch:Mira_arch.Archdesc.t ->
-  mode:mode ->
   fname:string ->
   sweep:string list ->
   fixed:(string * int) list ->
   unit ->
   string
 (** The content key (hex digest).  [digest] must identify the model
-    content exactly — the daemon passes the source's {!Batch.key}; a
-    digest of the emitted Python would not do, since Python renders
-    every deferred count as [(0)].  The arch participates via its name
-    and rendered description. *)
+    content exactly — the daemon and [mira dataset] pass the source's
+    {!Batch.key}; a digest of the emitted Python would not do, since
+    Python renders every deferred count as [(0)].  The arch
+    participates via its name and rendered description. *)
 
 val get :
   cache ->
   digest:string ->
   ?arch:Mira_arch.Archdesc.t ->
-  ?mode:mode ->
   model:Model_ir.t ->
   fname:string ->
   sweep:string list ->

@@ -7,16 +7,11 @@
     multiplicity, like the Python [handle_function_call]).  Counts are
     floats because [fraction] annotations scale contributions.
 
-    Evaluation is two-phase: {!plan} resolves names to integer slots,
-    compiles count expressions to closures, and hoists the canonical
-    mnemonic order once per (model, function, env shape);
-    {!run_plan_into} then evaluates one binding into a preallocated
-    array with no per-eval allocation beyond the memo table.  The
-    one-shot {!eval}/{!eval_exclusive}/{!eval_split} wrappers plan and
-    run in one call and return the classic sorted assoc lists.  For
-    arithmetic-speed bulk evaluation, see {!Model_compile}, which
-    partially evaluates a plan's symbolic content into a register
-    program; this module is its differential oracle. *)
+    Every entry point is one walk over {!Model_ir}: entries in order,
+    count expressions evaluated as they come, each function's result
+    memoized per (function, env).  This is the plain reference
+    evaluator; {!Model_compile} partially evaluates a model into a
+    register program for bulk evaluation and is checked against it. *)
 
 exception Missing_parameter of string * string
 (** function, parameter *)
@@ -24,8 +19,10 @@ exception Missing_parameter of string * string
 val eval :
   Model_ir.t -> fname:string -> env:(string * int) list ->
   (string * float) list
-(** Predicted mnemonic counts for one invocation of [fname].
-    @raise Missing_parameter when [env] lacks a needed parameter.
+(** Predicted mnemonic counts for one invocation of [fname], one pair
+    per mnemonic of {!mnemonic_order} (inclusive), in that order.
+    @raise Missing_parameter when [env] lacks one of [fname]'s model
+    parameters, whichever branches the evaluation takes.
     @raise Invalid_argument on unknown function names. *)
 
 val eval_exclusive :
@@ -41,42 +38,6 @@ val eval_split :
 (** Like {!eval}, but splits each mnemonic's count into
     (serial, parallel) portions according to [{parallel:yes}] loop
     annotations — the input to shared-memory predictions. *)
-
-(** {1 Plans: reusable slot-resolved evaluators} *)
-
-type plan
-(** Everything per-eval work used to redo, resolved once: parameter
-    names to env-array slots, count expressions to closures (same
-    operation order as the tree walk, so results are bit-identical),
-    mnemonics to indices of a canonical sorted output array. *)
-
-val plan :
-  ?who:string ->
-  ?inclusive:bool ->
-  Model_ir.t ->
-  fname:string ->
-  params:string list ->
-  plan
-(** Build a plan for evaluating [fname] against envs whose names (and
-    order) are [params].  [inclusive] (default true) splices callees
-    in; [false] gives the {!eval_exclusive} shape.  [who] labels the
-    [Invalid_argument] raised for unknown function names.
-    @raise Missing_parameter when the model needs a name not in
-    [params] — the same error one-shot evaluation raises lazily. *)
-
-val plan_params : plan -> string array
-(** Env slot order: slot [i] holds the value of name [i]. *)
-
-val plan_mnemonics : plan -> string array
-(** Canonical sorted output order; the run functions fill values in
-    lockstep with it. *)
-
-val run_plan_into : plan -> int array -> float array -> unit
-(** [run_plan_into p env out] evaluates one binding ([env] in
-    {!plan_params} order) into [out] (length [plan_mnemonics]). *)
-
-val run_plan : plan -> int array -> float array
-(** Allocating variant of {!run_plan_into}. *)
 
 val mnemonic_order : Model_ir.t -> fname:string -> inclusive:bool -> string array
 (** The static sorted mnemonic universe evaluation of [fname] can

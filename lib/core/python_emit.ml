@@ -75,7 +75,8 @@ let emit_fmodel (model : Model_ir.t) (fm : Model_ir.fmodel) : string =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
   List.iter (fun w -> line "# warning: %s" w) fm.mf_warnings;
-  line "def %s(%s):" (Model_ir.python_name fm) (String.concat ", " fm.mf_params);
+  line "def %s(%s):" (Model_ir.python_name fm)
+    (String.concat ", " (List.map Poly.python_var fm.mf_params));
   line "    m = {}";
   let chunks =
     (* in lockstep with mf_entries by construction; re-render if a
@@ -100,8 +101,8 @@ let emit_fmodel (model : Model_ir.t) (fm : Model_ir.fmodel) : string =
                   (fun p ->
                     match List.assoc_opt p bindings with
                     | Some (Model_ir.Bound poly) -> Poly.to_python poly
-                    | Some (Model_ir.Unbound name) -> name
-                    | None -> p)
+                    | Some (Model_ir.Unbound name) -> Poly.python_var name
+                    | None -> Poly.python_var p)
                   cm.mf_params
               in
               line "    # line %d: call %s" src_line callee;

@@ -136,6 +136,22 @@ let pp ppf p =
 
 let to_string p = Format.asprintf "%a" pp p
 
+(* A compiled match: this runs once per variable occurrence of every
+   rendered model, where a list scan is measurably slower. *)
+let rec shadows_python = function
+  | "m" | "bump" | "handle_function_call" | "max" | "min" | "False" | "None"
+  | "True" | "and" | "as" | "assert" | "async" | "await" | "break" | "class"
+  | "continue" | "def" | "del" | "elif" | "else" | "except" | "finally"
+  | "for" | "from" | "global" | "if" | "import" | "in" | "is" | "lambda"
+  | "nonlocal" | "not" | "or" | "pass" | "raise" | "return" | "try"
+  | "while" | "with" | "yield" ->
+      true
+  | x ->
+      let n = String.length x in
+      n > 1 && x.[n - 1] = '_' && shadows_python (String.sub x 0 (n - 1))
+
+let python_var x = if shadows_python x then x ^ "_" else x
+
 (* Renders straight into [b]: polynomials appear as the leaves of
    symbolic-expression towers that can carry tens of thousands of
    them, so the per-leaf intermediate strings of a concat-based
@@ -149,7 +165,7 @@ let add_python b p =
       List.iteri
         (fun i (x, e) ->
           if i > 0 || n <> 1 || m = [] then Buffer.add_char b '*';
-          Buffer.add_string b x;
+          Buffer.add_string b (python_var x);
           if e <> 1 then (
             Buffer.add_string b "**";
             Buffer.add_string b (string_of_int e)))

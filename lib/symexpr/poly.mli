@@ -61,8 +61,15 @@ val fold_terms : (Monomial.t -> Ratio.t -> 'a -> 'a) -> t -> 'a -> 'a
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val python_var : string -> string
+(** A variable's name in emitted Python.  Names the emitted model binds
+    itself ([m], [bump], [handle_function_call], [max], [min]) and
+    Python keywords, bare or followed by underscores, get one more
+    [_]; every other name is unchanged.  The map is injective. *)
+
 val to_python : t -> string
-(** Render as a Python expression, e.g. ["3*n**2/2 + n/2"]. *)
+(** Render as a Python expression, e.g. ["3*n**2/2 + n/2"], variables
+    named by {!python_var}. *)
 
 val add_python : Buffer.t -> t -> unit
 (** [to_python] rendered straight into a buffer — polynomials are the

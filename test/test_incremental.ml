@@ -8,7 +8,9 @@
    - the property holds for random kernels from Kernelgen (the
      differential fuzzer's generator) at jobs=1 and jobs=4;
    - the function tier's disk entries survive a fresh in-memory cache;
-   - gc_disk evicts down to the cap and a gutted cache stays correct. *)
+   - gc_disk evicts down to the cap and a gutted cache stays correct;
+   - a whole file compiled from its prepared AST gives the object bytes
+     its text gives, at every level. *)
 
 open Mira_core
 
@@ -271,6 +273,25 @@ let incremental_tests =
           (String.equal
              (String.concat "\x00" (List.map python_of results))
              (String.concat "\x00" (List.map python_of cold))));
+    test_case "the prepared AST compiles to the text's object bytes" `Quick
+      (fun () ->
+        let rng = Random.State.make [| 20260806 |] in
+        let kernels =
+          List.init 20 (fun i ->
+              ( Printf.sprintf "kern%d.mc" i,
+                Kernelgen.render (Kernelgen.gen_kernel rng) ))
+        in
+        List.iter
+          (fun level ->
+            List.iter
+              (fun (name, src) ->
+                let pr = Input_processor.prepare ~level ~source_name:name src in
+                check bool name true
+                  (String.equal
+                     (Mira_codegen.Codegen.compile_to_object ~level src)
+                     (Input_processor.process_prepared pr).object_bytes))
+              (Mira_corpus.Corpus.all @ kernels))
+          Mira_codegen.Codegen.[ O0; O1; O2 ]);
   ]
 
 let () =

@@ -109,12 +109,9 @@ def outer(n):
   ]
 
 (* The real point: the emitted Python model, executed by minipy, must
-   agree with the internal evaluator. *)
-let crosscheck name src fname env =
-  let m = Mira_core.Mira.analyze ~source_name:(name ^ ".mc") src in
+   agree with the internal evaluator.  [call] runs the emitted module. *)
+let crosscheck_model name (m : Mira_core.Mira.t) call fname env =
   let internal = Mira_core.Mira.counts m ~fname ~env in
-  let python = Mira_core.Mira.python_model m in
-  let call = Minipy.run python in
   let fm = Mira_core.Model_ir.find_exn m.model fname in
   let args =
     List.map
@@ -124,7 +121,10 @@ let crosscheck name src fname env =
         | None -> Alcotest.failf "missing env for %s" p)
       fm.mf_params
   in
-  let result = call (Mira_core.Model_ir.python_name fm, args) in
+  let result =
+    try call (Mira_core.Model_ir.python_name fm, args)
+    with Minipy.Error msg -> Alcotest.failf "%s/%s: %s" name fname msg
+  in
   let py_counts = Minipy.dict_counts result in
   (* same mnemonics, same counts *)
   let all =
@@ -138,6 +138,48 @@ let crosscheck name src fname env =
         (Printf.sprintf "%s/%s: %s" name fname mn)
         a b)
     all
+
+let crosscheck name src fname env =
+  let m = Mira_core.Mira.analyze ~source_name:(name ^ ".mc") src in
+  crosscheck_model name m (Minipy.run (Mira_core.Mira.python_model m)) fname
+    env
+
+let fuzz_seed =
+  match Sys.getenv_opt "MIRA_FUZZ_SEED" with
+  | Some s -> int_of_string s
+  | None -> 20260806
+
+(* The emitted Python renders a deferred (enumerated) count as (0), so
+   only models without one can agree with the evaluator. *)
+let has_deferred (m : Mira_core.Mira.t) =
+  List.exists
+    (fun (fm : Mira_core.Model_ir.fmodel) ->
+      List.exists
+        (function
+          | Mira_core.Model_ir.Update { mult; _ }
+          | Mira_core.Model_ir.Call_site { mult; _ } ->
+              List.exists
+                (function
+                  | _, Mira_poly.Count.Deferred _ -> true
+                  | _, Mira_poly.Count.Closed _ -> false)
+                mult.terms)
+        fm.mf_entries)
+    m.model.functions
+
+(* Every function of [src], each parameter bound by [value]; returns
+   false when the file was skipped for a deferred count. *)
+let crosscheck_file name src value =
+  let m = Mira_core.Mira.analyze ~source_name:name src in
+  if has_deferred m then false
+  else begin
+    let call = Minipy.run (Mira_core.Mira.python_model m) in
+    List.iter
+      (fun (fm : Mira_core.Model_ir.fmodel) ->
+        crosscheck_model name m call fm.mf_name
+          (List.mapi (fun j p -> (p, value j)) fm.mf_params))
+      m.model.functions;
+    true
+  end
 
 let crosscheck_tests =
   let open Alcotest in
@@ -187,6 +229,24 @@ let crosscheck_tests =
             int main() { A inst; double a[4]; double b[4]; double r = inst.foo(a, b); if (r < 0.0) { return 1; } return 0; }|}
           "A::foo"
           [ ("y", 11) ]);
+    test_case "emitted Python = internal eval (every corpus function)"
+      `Quick (fun () ->
+        let checked =
+          List.filter
+            (fun (name, src) -> crosscheck_file name src (fun j -> 5 + (2 * j)))
+            Mira_corpus.Corpus.all
+        in
+        check bool "most corpus files have no deferred count" true
+          (2 * List.length checked > List.length Mira_corpus.Corpus.all));
+    test_case "emitted Python = internal eval (random kernels)" `Quick
+      (fun () ->
+        let rng = Random.State.make [| fuzz_seed; 31 |] in
+        for i = 1 to 30 do
+          let src = Kernelgen.render (Kernelgen.gen_kernel rng) in
+          ignore
+            (crosscheck_file (Printf.sprintf "kernel%d.mc" i) src (fun _ ->
+                 2 + Random.State.int rng 11))
+        done);
   ]
 
 (* Property: Expr.to_python rendered into a Python function and run by

@@ -489,6 +489,27 @@ int main() { A inst; double a[4]; double b[4]; double r = inst.foo(a, b); if (r 
         in
         check (float 0.0) "addsd follows the parameter" 42.0
           (Mira_core.Model_eval.count c "addsd"));
+    test_case "a binding the callee never reads adds no parameter" `Quick
+      (fun () ->
+        (* ihelper's model reads only m, so the loop variable bound to
+           k must not become a parameter of kern *)
+        let src =
+          {|int ihelper(int *q, int k, int m) {
+              int acc = 0;
+              for (int w = 0; w < m; w++) { acc += q[k + w]; }
+              return acc;
+            }
+            void kern(int *p, int n) {
+              int t = 0;
+              for (int i0 = 0; i0 < n; i0++) { t += ihelper(p, i0, 4); }
+              p[0] = t;
+            }|}
+        in
+        let m = Mira_core.Mira.analyze ~source_name:"lv.mc" src in
+        check (list string) "kern's parameters" [ "n" ]
+          (Mira_core.Mira.parameters m ~fname:"kern");
+        check (list string) "ihelper's parameters" [ "m" ]
+          (Mira_core.Mira.parameters m ~fname:"ihelper"));
     test_case "missing parameters raise a helpful error" `Quick (fun () ->
         let m =
           Mira_core.Mira.analyze ~source_name:"p.mc"

@@ -10,7 +10,7 @@
    Covered here:
    - corpus differential: every corpus function, compiled over its
      full parameter set and over random sweep/fixed splits, matches
-     eval / eval_exclusive / eval_split;
+     eval;
    - randomized differential over test/kernelgen.ml programs (seeded
      by MIRA_FUZZ_SEED like the fuzz oracle);
    - Missing_parameter raised identically (same function, parameter)
@@ -52,8 +52,8 @@ let check_counts what compiled interpreted =
     (fun (mn, c) (_, i) -> check_close (what ^ " " ^ mn) c i)
     compiled interpreted
 
-(* Compare every mode of the compiled path against the interpreter for
-   one (model, fname, sweep, fixed) configuration.  Returns false when
+(* Compare the compiled path against the interpreter for one
+   (model, fname, sweep, fixed) configuration.  Returns false when
    the model is not compilable under this sweep set (callers may
    assert on the fallback rate). *)
 let differential what model ~fname ~sweep ~fixed ~env =
@@ -74,31 +74,6 @@ let differential what model ~fname ~sweep ~fixed ~env =
         (Model_eval.fpi interp);
       check_close (what ^ " total") (Model_compile.total prog out)
         (Model_eval.total interp);
-      (match
-         Model_compile.compile model ~mode:Model_compile.Exclusive ~fname
-           ~sweep ~fixed
-       with
-      | exception Model_compile.Not_compilable _ -> ()
-      | xprog ->
-          check_counts (what ^ " [excl]")
-            (Model_compile.eval xprog ~env)
-            (Model_eval.eval_exclusive model ~fname ~env));
-      (match
-         Model_compile.compile model ~mode:Model_compile.Split ~fname ~sweep
-           ~fixed
-       with
-      | exception Model_compile.Not_compilable _ -> ()
-      | sprog ->
-          let comp2 = Model_compile.eval_split sprog ~env in
-          let interp2 = Model_eval.eval_split model ~fname ~env in
-          Alcotest.(check (list string))
-            (what ^ " [split]: mnemonic sets")
-            (List.map fst interp2) (List.map fst comp2);
-          List.iter2
-            (fun (mn, (cs, cp)) (_, (is_, ip)) ->
-              check_close (what ^ " [split s] " ^ mn) cs is_;
-              check_close (what ^ " [split p] " ^ mn) cp ip)
-            comp2 interp2);
       true
 
 (* ---------- corpus differential ---------- *)

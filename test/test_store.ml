@@ -222,8 +222,8 @@ let test_corrupt_prog_counted_and_removed () =
   with_dir "mira-store-prog" (fun dir ->
       ignore (get_stream (Model_compile.create_cache ~dir ()));
       let k =
-        Model_compile.key ~digest:"d0" ~mode:Model_compile.Inclusive
-          ~fname:"stream_triad" ~sweep:[ "n" ] ~fixed:[] ()
+        Model_compile.key ~digest:"d0" ~fname:"stream_triad" ~sweep:[ "n" ]
+          ~fixed:[] ()
       in
       let path = Filename.concat dir (k ^ ".prog") in
       let tier =

@@ -675,6 +675,42 @@ let client_tests =
                     check string "the eval is answered" "ok" r.Serve.rs_status
                 | Some (Error m) -> failf "eval: %s" m
                 | None -> fail "the eval never returned")));
+    test_case "a connection death is charged once, not to its waiters"
+      `Quick (fun () ->
+        (* a listener that closes its one connection after 0.5 s: the
+           ping on the wire fails with it, and the stats still waiting
+           for the one pipeline slot was never written *)
+        let fd, ep = Endpoint.listen (Endpoint.Tcp ("127.0.0.1", 0)) in
+        let closer =
+          Thread.create
+            (fun () ->
+              let c, _ = Unix.accept fd in
+              Unix.sleepf 0.5;
+              Unix.close c)
+            ()
+        in
+        Fun.protect
+          ~finally:(fun () ->
+            Thread.join closer;
+            try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () ->
+            Client.with_pool ~max_inflight:1 ~retries:0 [ ep ] (fun pool ->
+                let ping =
+                  Thread.create
+                    (fun () -> ignore (Client.request pool Serve.Ping))
+                    ()
+                in
+                Unix.sleepf 0.1;
+                (match
+                   within ~seconds:5.0 "the queued stats" (fun () ->
+                       Client.request pool Serve.Stats)
+                 with
+                | Ok _ -> fail "a closed connection answered"
+                | Error _ -> ());
+                Thread.join ping;
+                let st = Client.breaker_stats pool in
+                check int "no trip" 0 st.Client.bk_tripped;
+                check int "the circuit is closed" 1 st.Client.bk_closed)));
   ]
 
 (* ---------- the supervised fleet, over real processes ---------- *)
