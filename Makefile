@@ -38,8 +38,10 @@ ci:
 # three.  Assertions tied to the default schedule's specifics are
 # themselves seed-gated in the tests.  The evaluator oracles — the VM
 # fuzz oracle, compiled against interpreted evaluation, and the
-# emitted Python against the evaluator — re-run with the same seeds as
-# MIRA_FUZZ_SEED, so each draws three sets of random kernels.
+# emitted Python against the evaluator — and the pipeline's
+# byte-identity oracle (warm analysis against cold) re-run with the
+# same seeds as MIRA_FUZZ_SEED, so each draws three sets of random
+# kernels.
 ci-seeds: build
 	for s in 20260806 7 424242; do \
 	  echo "== MIRA_FAULT_SEED=$$s MIRA_FUZZ_SEED=$$s"; \
@@ -48,7 +50,7 @@ ci-seeds: build
 	      && ./test_faults.exe -e && ./test_cluster.exe -e \
 	      && ./test_serve.exe -e && ./test_protocol.exe -e \
 	      && ./test_differential.exe -e && ./test_model_compile.exe -e \
-	      && ./test_minipy.exe -e' || exit 1; \
+	      && ./test_minipy.exe -e && ./test_incremental.exe -e' || exit 1; \
 	done
 
 # Chaos smoke: the self-healing-fleet harness end to end — seeded

@@ -116,9 +116,7 @@ let parse_cmd =
               (fun (f : Mira_srclang.Ast.func) ->
                 Printf.printf "  %s %s(%d args)\n"
                   (Mira_srclang.Ast.ty_to_string f.fret)
-                  (match f.fclass with
-                  | Some c -> c ^ "::" ^ f.fname
-                  | None -> f.fname)
+                  (Mira_srclang.Ast.mangle f)
                   (List.length f.fparams))
               (Mira_srclang.Ast.all_functions ast)
         | Error es ->
@@ -674,8 +672,7 @@ let format_arg =
            docs/PROTOCOL.md).")
 
 let batch_cmd =
-  let run paths jobs cache no_incremental python level limits faults shard
-      no_fsync format =
+  let run paths jobs cache python level limits faults shard no_fsync format =
     handle_errors (fun () ->
         Opts.apply_fsync no_fsync;
         let expanded =
@@ -713,9 +710,8 @@ let batch_cmd =
             exit exit_analysis
         in
         let results, stats =
-          Mira_core.Batch.run ~jobs
-            ?cache:(fst cache)
-            ~incremental:(not no_incremental) ~level ~limits ?faults sources
+          Mira_core.Batch.run ~jobs ?cache:(fst cache) ~level ~limits ?faults
+            sources
         in
         Opts.gc_cache cache;
         (match format with
@@ -748,15 +744,6 @@ let batch_cmd =
     Arg.(
       value & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains to analyze with.")
-  in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:
-            "Disable function-granular incremental reanalysis (with a cache, \
-             a file-tier miss then always re-analyzes the whole file instead \
-             of only the edited functions).")
   in
   let python =
     Arg.(
@@ -808,9 +795,8 @@ let batch_cmd =
          "Analyze many sources concurrently with memoization (deterministic: \
           output is byte-identical for any --jobs and cache state).")
     Term.(
-      const run $ paths $ jobs $ Opts.cache_term $ no_incremental $ python
-      $ level_arg $ Opts.limits_term $ Opts.faults $ shard $ Opts.no_fsync
-      $ format_arg)
+      const run $ paths $ jobs $ Opts.cache_term $ python $ level_arg
+      $ Opts.limits_term $ Opts.faults $ shard $ Opts.no_fsync $ format_arg)
 
 (* ---------- cache ---------- *)
 
@@ -862,8 +848,7 @@ let cache_cmd =
 
 let serve_cmd =
   let run endpoints max_inflight max_pipeline max_frame_bytes idle_timeout_ms
-      drain_ms workers cache no_incremental level limits faults
-      auth_secret_file no_fsync =
+      drain_ms workers cache level limits faults auth_secret_file no_fsync =
     handle_errors (fun () ->
         Opts.apply_fsync no_fsync;
         let cfg =
@@ -878,7 +863,6 @@ let serve_cmd =
             cfg_level = level;
             cfg_limits = limits;
             cfg_cache = fst cache;
-            cfg_incremental = not no_incremental;
             cfg_faults = faults;
             cfg_auth_secret = Opts.load_auth_secret auth_secret_file;
           }
@@ -956,12 +940,6 @@ let serve_cmd =
              the event loop itself, and connections cost a descriptor, not \
              a thread.")
   in
-  let no_incremental =
-    Arg.(
-      value & flag
-      & info [ "no-incremental" ]
-          ~doc:"Disable function-granular incremental reanalysis.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -973,7 +951,7 @@ let serve_cmd =
     Term.(
       const run $ Opts.endpoints_term $ max_inflight $ max_pipeline
       $ max_frame_bytes $ idle_timeout_ms $ drain_ms $ workers
-      $ Opts.cache_term $ no_incremental $ level_arg $ Opts.limits_term
+      $ Opts.cache_term $ level_arg $ Opts.limits_term
       $ Opts.faults $ Opts.auth_secret_file $ Opts.no_fsync)
 
 (* The exit code a response maps to: the one status-to-exit mapping,
@@ -1276,7 +1254,7 @@ let watch_cmd =
                   ~default:""
               in
               let cold, _ =
-                Mira_core.Batch.run ~jobs:1 ~incremental:false ~level ~limits
+                Mira_core.Batch.run ~jobs:1 ~level ~limits
                   [ { Mira_core.Batch.src_name = path; src_text = text } ]
               in
               match cold with
@@ -1945,35 +1923,29 @@ let dataset_cmd =
             (fun mn -> List.mem mn Mira_core.Model_eval.fp_mnemonics)
             mns
         in
-        (* per arch: the compiled program when one exists, else the
-           interpreter once per row *)
-        let eval_row =
-          let cache = Mira_core.Model_compile.create_cache () in
-          let digest = Mira_core.Batch.key ~level text in
-          fun (arch : Mira_arch.Archdesc.t) ->
-            match
-              Mira_core.Model_compile.get cache ~digest ~arch ~model ~fname
-                ~sweep:vars ~fixed ()
-            with
-            | Ok prog ->
-                let runner = Mira_core.Model_compile.runner prog in
-                fun args ->
-                  let out = Mira_core.Model_compile.run runner args in
-                  (out, Mira_core.Model_compile.cycles prog out)
-            | Error _ ->
-                fun args ->
-                  let env = List.mapi (fun i v -> (v, args.(i))) vars @ fixed in
-                  let counts = Mira_core.Model_eval.eval model ~fname ~env in
-                  let out = Array.of_list (List.map snd counts) in
-                  let cycles = ref 0.0 in
-                  Array.iteri
-                    (fun i mn ->
-                      cycles :=
-                        !cycles
-                        +. (out.(i)
-                           *. Mira_arch.Archdesc.cost_of_mnemonic arch mn))
-                    mns;
-                  (out, !cycles)
+        (* the compiled program when one exists, else the interpreter
+           once per row; one compilation serves every arch *)
+        let eval =
+          match
+            Mira_core.Model_compile.compile model ~fname ~sweep:vars ~fixed
+          with
+          | prog ->
+              Mira_core.Model_compile.run (Mira_core.Model_compile.runner prog)
+          | exception Mira_core.Model_compile.Not_compilable _ ->
+              fun args ->
+                let env = List.mapi (fun i v -> (v, args.(i))) vars @ fixed in
+                let counts = Mira_core.Model_eval.eval model ~fname ~env in
+                Array.of_list (List.map snd counts)
+        in
+        let cycles arch (out : float array) =
+          let acc = ref 0.0 in
+          Array.iteri
+            (fun i mn ->
+              acc :=
+                !acc
+                +. (out.(i) *. Mira_arch.Archdesc.cost_of_mnemonic arch mn))
+            mns;
+          !acc
         in
         let buf = Buffer.create 4096 in
         let sep = ref "" in
@@ -2013,14 +1985,13 @@ let dataset_cmd =
         in
         List.iter
           (fun arch ->
-            let eval = eval_row arch in
             let n = Array.length axes in
             let idx = Array.make n 0 in
             let args = Array.make n 0 in
             let rec next () =
               Array.iteri (fun i ax -> args.(i) <- ax.(idx.(i))) axes;
-              let out, cycles = eval args in
-              emit_row arch args out cycles;
+              let out = eval args in
+              emit_row arch args out (cycles arch out);
               (* odometer: last axis fastest *)
               let rec carry i =
                 if i >= 0 then begin

@@ -18,9 +18,6 @@ let op_name : op -> string = function
   | `Call -> "call"
   | `Cvt -> "cvt"
 
-let mangle (f : func) =
-  match f.fclass with None -> f.fname | Some c -> c ^ "::" ^ f.fname
-
 (* Source operations contributed by one expression node (children are
    visited separately by the traversal). *)
 let ops_of_expr (e : expr) : op list =
@@ -71,11 +68,13 @@ let collect_function (f : func) : (Loc.pos * string) array =
 
 let analyze ?(source_name = "<memory>") source =
   let ast = Typecheck.check_exn (Parser.parse source) in
-  let items =
-    List.map (fun f -> (mangle f, collect_function f)) (all_functions ast)
+  let fns = all_functions ast in
+  let bridge =
+    Mira_core.Bridge.of_items
+      (List.map (fun f -> (mangle f, collect_function f)) fns)
   in
-  let bridge = Mira_core.Bridge.of_items items in
-  Mira_core.Metric_gen.build ~source_name ast bridge
+  Mira_core.Metric_gen.assemble ~source_name
+    (List.map (Mira_core.Metric_gen.build_part ast bridge) fns)
 
 let flops counts =
   List.fold_left

@@ -54,8 +54,3 @@ let reduce_to_function (p : Mira_srclang.Ast.program) ~name ~cls :
         (fun c -> { c with cmethods = List.map stub c.cmethods })
         p.classes;
   }
-
-let compile_function_to_object ?level ~name ~cls src =
-  Mira_visa.Objfile.encode
-    (compile_ast ?level
-       (reduce_to_function (Mira_srclang.Parser.parse src) ~name ~cls))

@@ -38,8 +38,3 @@ val reduce_to_function :
     reduced program yields instructions for the kept function that are
     identical (as mnemonic streams with source positions) to a
     whole-file compilation. *)
-
-val compile_function_to_object :
-  ?level:level -> name:string -> cls:string option -> string -> string
-(** Parse, reduce to one function, compile, encode — the
-    single-function analogue of {!compile_to_object}. *)

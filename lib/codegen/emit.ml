@@ -7,9 +7,6 @@ exception Error of string * Loc.pos
 
 let err pos fmt = Format.kasprintf (fun m -> raise (Error (m, pos))) fmt
 
-let mangle (f : func) =
-  match f.fclass with None -> f.fname | Some c -> c ^ "::" ^ f.fname
-
 (* Storage of a named value. *)
 type storage =
   | Sint of ireg  (* int scalar in a register *)
@@ -418,7 +415,7 @@ and gen_call ctx (e : expr) : [ `Int of iop | `Double of xreg ] =
   (match e.e with
   | Method_call (o, m, _) ->
       let cls = class_of ctx o in
-      emit ctx (Call (cls ^ "::" ^ m)) pos
+      emit ctx (Call (mangle_method cls m)) pos
   | Call (f, _) ->
       if find_func ctx.prog f <> None then emit ctx (Call f) pos
       else emit ctx (Call_ext (f, List.length args)) pos

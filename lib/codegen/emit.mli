@@ -17,6 +17,3 @@ val program :
     The input program must have passed {!Mira_srclang.Typecheck}.
     @raise Error on constructs the backend does not support. *)
 
-val mangle : Mira_srclang.Ast.func -> string
-(** The symbol name of a function: [name], or [Class::name] for
-    methods. *)

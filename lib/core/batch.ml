@@ -176,75 +176,60 @@ type tier = Fresh | Mem | Disk | Assembled of int
 
 let fn_salt level = fn_cache_version ^ "\x00" ^ level_tag level
 
-(* The function-granular path, taken on a file-tier miss when
-   [incremental] is on and a cache exists.  Digest every function of
-   the prepared AST and probe the function tier; if nothing hits, fall
-   back to the whole-file pipeline (one compilation instead of N
-   stub-reduced ones) and seed the tier with the parts it produces.
-   Otherwise re-analyze only the misses, each against its own reduced
-   compilation, and assemble.  Either way the assembled model is
-   byte-identical to a cold whole-file analysis: parts are a pure
-   function of (function, closure) — which is what the digest hashes —
-   and the cross-function parameter fixpoint reruns at assembly. *)
-let analyze_incremental ~level ~faults ~retries c ~src_name ~src_text =
-  let pr = Input_processor.prepare ~level ~source_name:src_name src_text in
-  let salt = fn_salt level in
-  let fns = Mira_srclang.Ast.all_functions pr.Input_processor.pr_ast in
-  let probed =
-    List.map
-      (fun f ->
-        let d = Input_processor.function_digest pr ~salt f in
-        (f, d, Option.map fst (Store.find c.c_parts ~faults ~retries d)))
-      fns
-  in
-  let store_part d part = Store.add c.c_parts ~faults ~retries d part in
-  if List.for_all (fun (_, _, part) -> part = None) probed then begin
-    (* nothing reusable: one whole-file compilation, then seed the
-       function tier from its parts *)
-    let input = Input_processor.process_prepared pr in
-    let bridge = Bridge.create input.Input_processor.binast in
-    let parts =
-      List.map
-        (fun (f, d, _) ->
-          let part =
-            Metric_gen.build_part input.Input_processor.ast bridge f
+(* The one analysis path.  Without a cache, or when no function of the
+   source hits the function tier (a brand-new source), the whole file
+   compiles once and, with a cache, its parts seed the tier.  Otherwise
+   only the misses are re-analyzed, each against its own stub-reduced
+   compilation, and the model is assembled from cached and fresh parts.
+   Either way the model is byte-identical to a cold whole-file
+   analysis: parts are a pure function of (function, closure) — which
+   is what the digest hashes — and the cross-function parameter
+   fixpoint reruns at assembly. *)
+let analyze ~level ~faults ~retries cache ~src_name ~src_text =
+  let pr = Input_processor.prepare ~level src_text in
+  let whole () = snd (Input_processor.parts pr) in
+  let parts, tier =
+    match cache with
+    | None -> (whole (), Fresh)
+    | Some c ->
+        let salt = fn_salt level in
+        let probed =
+          List.map
+            (fun f ->
+              let d = Input_processor.function_digest pr ~salt f in
+              (f, d, Option.map fst (Store.find c.c_parts ~faults ~retries d)))
+            (Mira_srclang.Ast.all_functions pr.Input_processor.pr_ast)
+        in
+        let store_part d part = Store.add c.c_parts ~faults ~retries d part in
+        if List.for_all (fun (_, _, part) -> part = None) probed then begin
+          let parts = whole () in
+          List.iter2 (fun (_, d, _) part -> store_part d part) probed parts;
+          (parts, Fresh)
+        end
+        else
+          let misses = ref 0 in
+          let parts =
+            List.map
+              (fun (f, d, part) ->
+                match part with
+                | Some part -> part
+                | None ->
+                    let part = Input_processor.function_part pr f in
+                    Atomic.incr c.c_fn_fresh;
+                    incr misses;
+                    store_part d part;
+                    part)
+              probed
           in
-          store_part d part;
-          part)
-        probed
-    in
-    (Metric_gen.assemble ~source_name:src_name parts, None)
-  end
-  else
-    let misses = ref 0 in
-    let parts =
-      List.map
-        (fun (f, d, part) ->
-          match part with
-          | Some part -> part
-          | None ->
-              let binast = Input_processor.process_function pr f in
-              let bridge = Bridge.create binast in
-              let part =
-                Metric_gen.build_part pr.Input_processor.pr_ast bridge f
-              in
-              Atomic.incr c.c_fn_fresh;
-              incr misses;
-              store_part d part;
-              part)
-        probed
-    in
-    (Metric_gen.assemble ~source_name:src_name parts, Some !misses)
-
-let analyze_one ~level ~cache ~incremental ~limits ~faults
-    { src_name; src_text } =
-  let retries = limits.Limits.retries in
-  let fresh () =
-    let input = Input_processor.process ~level ~source_name:src_name src_text in
-    let bridge = Bridge.create input.binast in
-    let model = Metric_gen.build ~source_name:src_name input.ast bridge in
-    { p_name = src_name; p_model = model; p_python = Python_emit.emit model }
+          (parts, Assembled !misses)
   in
+  let model = Metric_gen.assemble ~source_name:src_name parts in
+  ( { p_name = src_name; p_model = model; p_python = Python_emit.emit model },
+    tier )
+
+let analyze_one ~level ~cache ~limits ~faults { src_name; src_text } =
+  let retries = limits.Limits.retries in
+  let fresh () = analyze ~level ~faults ~retries cache ~src_name ~src_text in
   (* A hit may come from an identical source under another name:
      re-emission runs off the current name so output stays
      byte-identical to a fresh analysis. *)
@@ -267,30 +252,15 @@ let analyze_one ~level ~cache ~incremental ~limits ~faults
             if Faults.fires f ~p:f.worker_p ~site:"worker" ~subject:src_name
             then raise (Faults.Injected "worker")
         | None -> ());
-        let k = key ~level src_text in
         match cache with
-        | None -> (fresh (), Fresh)
+        | None -> fresh ()
         | Some c -> (
+            let k = key ~level src_text in
             match Store.find c.c_models ~faults ~retries k with
             | Some (p, Store.Memory) -> (rename p, Mem)
             | Some (p, Store.Disk) -> (rename p, Disk)
             | None ->
-                let p, tier =
-                  if incremental then
-                    let model, misses =
-                      analyze_incremental ~level ~faults ~retries c ~src_name
-                        ~src_text
-                    in
-                    ( {
-                        p_name = src_name;
-                        p_model = model;
-                        p_python = Python_emit.emit model;
-                      },
-                      match misses with
-                      | None -> Fresh
-                      | Some m -> Assembled m )
-                  else (fresh (), Fresh)
-                in
+                let p, tier = fresh () in
                 Store.add c.c_models ~faults ~retries k p;
                 (p, tier)))
   with
@@ -319,9 +289,8 @@ let analyze_one ~level ~cache ~incremental ~limits ~faults
 
 (* ---------- the worker pool ---------- *)
 
-let run ?(jobs = 1) ?cache ?(incremental = true)
-    ?(level = Mira_codegen.Codegen.O1) ?(limits = Limits.default) ?faults
-    sources =
+let run ?(jobs = 1) ?cache ?(level = Mira_codegen.Codegen.O1)
+    ?(limits = Limits.default) ?faults sources =
   Printexc.record_backtrace true;
   let health0 =
     match cache with
@@ -350,7 +319,7 @@ let run ?(jobs = 1) ?cache ?(incremental = true)
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
         let res, tier =
-          analyze_one ~level ~cache ~incremental ~limits ~faults tasks.(i)
+          analyze_one ~level ~cache ~limits ~faults tasks.(i)
         in
         (match (res, tier) with
         | Error _, _ -> Atomic.incr failed

@@ -160,7 +160,6 @@ val merge_dirs : dst:string -> string list -> merge_stats
 val run :
   ?jobs:int ->
   ?cache:cache ->
-  ?incremental:bool ->
   ?level:Mira_codegen.Codegen.level ->
   ?limits:Limits.t ->
   ?faults:Faults.t ->
@@ -174,14 +173,15 @@ val run :
     [(seed, site, subject)], never on worker scheduling, so the set of
     affected sources is identical at any [jobs] value.
 
-    [incremental] (default [true], meaningful only with a cache): on a
-    file-tier miss, probe the function tier by per-function
-    {!Mira_srclang.Fingerprint} digest, re-analyze only missing
-    functions against stub-reduced compilations, and assemble the
-    model from cached + fresh parts.  The assembled output is
-    byte-identical to a cold whole-file analysis; only the stats
-    differ.  When no function hits (a brand-new source), the
-    whole-file pipeline runs once and seeds the function tier. *)
+    Without a cache every source is one whole-file analysis
+    ({!Input_processor.parts}).  With one, a file-tier miss probes the
+    function tier by per-function {!Mira_srclang.Fingerprint} digest,
+    re-analyzes only the missing functions against stub-reduced
+    compilations ({!Input_processor.function_part}), and assembles the
+    model from cached + fresh parts; when no function hits (a
+    brand-new source), the whole file is analyzed once and seeds the
+    function tier.  The output is byte-identical to a cold whole-file
+    analysis either way; only the stats differ. *)
 
 val report : result list -> stats -> string
 (** Deterministic textual report of a batch run (per-source function

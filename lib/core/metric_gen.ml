@@ -8,9 +8,6 @@ exception Non_affine of string
 
 module S = Set.Make (String)
 
-let mangle_func (f : func) =
-  match f.fclass with None -> f.fname | Some c -> c ^ "::" ^ f.fname
-
 type tctx = {
   prog : program;
   func : func;
@@ -176,7 +173,7 @@ let collect_calls ctx (st : stmt) (mult : Model_ir.mult) =
           match o.ety with
           | Some (Tclass c) -> (
               match find_method ctx.prog c m with
-              | Some f -> Some (c ^ "::" ^ m, f.fparams, args)
+              | Some f -> Some (mangle_method c m, f.fparams, args)
               | None -> None)
           | _ -> None)
       | _ -> None
@@ -609,7 +606,7 @@ let compute_params (fns : part list) : (string * string list) list =
 (* ---------- entry point ---------- *)
 
 let build_function prog bridge (f : func) : Model_ir.entry list * string list =
-  let name = mangle_func f in
+  let name = mangle f in
   let fb = Bridge.fn_exn bridge name in
   Bridge.reset fb;
   let ctx =
@@ -635,7 +632,7 @@ let build_function prog bridge (f : func) : Model_ir.entry list * string list =
 let build_part (prog : program) (bridge : Bridge.t) (f : func) : part =
   let entries, warnings = build_function prog bridge f in
   {
-    fp_name = mangle_func f;
+    fp_name = mangle f;
     fp_source_params = List.map (fun (p : param) -> p.pname) f.fparams;
     fp_arity = List.length f.fparams;
     fp_class = f.fclass;
@@ -666,7 +663,3 @@ let assemble ~source_name (parts : part list) : Model_ir.t =
       parts
   in
   { Model_ir.functions; source_name }
-
-let build ~source_name (prog : program) (bridge : Bridge.t) : Model_ir.t =
-  assemble ~source_name
-    (List.map (build_part prog bridge) (all_functions prog))

@@ -40,20 +40,16 @@ type part = {
     {!Mira_srclang.Fingerprint} digest. *)
 
 val build_part : Mira_srclang.Ast.program -> Bridge.t -> Mira_srclang.Ast.func -> part
-(** Model one function against a bridge that contains it (whole-file
-    or reduced single-function compilation — the result is identical
-    either way). *)
-
-val assemble : source_name:string -> part list -> Model_ir.t
-(** Run the cross-function parameter fixpoint over the parts and
-    produce the model.  [assemble ~source_name (List.map (build_part
-    prog bridge) (all_functions prog))] is exactly {!build}; parts may
-    come from a cache instead and the output is byte-identical. *)
-
-val build : source_name:string -> Mira_srclang.Ast.program -> Bridge.t -> Model_ir.t
-(** Build models for every function in the program.  The AST must be
-    typechecked; the bridge must come from the same program's compiled
-    binary.
+(** Model one function of a typechecked program against a bridge that
+    contains it (whole-file or reduced single-function compilation —
+    the result is identical either way; {!Input_processor} builds
+    both).
     @raise Unsupported only for malformed inputs (analysis limitations
     produce warnings and parameters instead, as the paper's annotation
     workflow expects). *)
+
+val assemble : source_name:string -> part list -> Model_ir.t
+(** Run the cross-function parameter fixpoint over the parts of every
+    function of a program, in program order, and produce the model.
+    Parts may come from a cache instead of {!build_part}; the output
+    is byte-identical. *)

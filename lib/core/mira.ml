@@ -1,19 +1,13 @@
 type t = { input : Input_processor.t; model : Model_ir.t }
 
 let analyze ?level ?(source_name = "<memory>") source =
-  let input = Input_processor.process ?level ~source_name source in
-  let bridge = Bridge.create input.binast in
-  let model = Metric_gen.build ~source_name input.ast bridge in
-  { input; model }
+  let input, parts =
+    Input_processor.parts (Input_processor.prepare ?level source)
+  in
+  { input; model = Metric_gen.assemble ~source_name parts }
 
-let analyze_file ?level path =
-  let input = Input_processor.process_file ?level path in
-  let bridge = Bridge.create input.binast in
-  let model = Metric_gen.build ~source_name:input.source_name input.ast bridge in
-  { input; model }
-
-let analyze_batch ?jobs ?cache ?incremental ?level ?limits ?faults sources =
-  Batch.run ?jobs ?cache ?incremental ?level ?limits ?faults
+let analyze_batch ?jobs ?cache ?level ?limits ?faults sources =
+  Batch.run ?jobs ?cache ?level ?limits ?faults
     (List.map
        (fun (name, text) -> { Batch.src_name = name; src_text = text })
        sources)

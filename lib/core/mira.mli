@@ -1,5 +1,6 @@
-(** Facade tying the pipeline together: source → input processing →
-    bridge → metric generation → model, plus evaluation and reporting
+(** Facade tying the pipeline together: source → {!Input_processor}
+    (compile, object round trip, bridge, per-function parts) →
+    {!Metric_gen.assemble} → model, plus evaluation and reporting
     conveniences.  This is the API the CLI, examples and benchmarks
     use. *)
 
@@ -10,14 +11,12 @@ type t = {
 
 val analyze :
   ?level:Mira_codegen.Codegen.level -> ?source_name:string -> string -> t
-(** Analyze mini-C source text (builds the model for every function). *)
-
-val analyze_file : ?level:Mira_codegen.Codegen.level -> string -> t
+(** Analyze mini-C source text (builds the model for every function):
+    {!Input_processor.parts} of the prepared text, assembled. *)
 
 val analyze_batch :
   ?jobs:int ->
   ?cache:Batch.cache ->
-  ?incremental:bool ->
   ?level:Mira_codegen.Codegen.level ->
   ?limits:Limits.t ->
   ?faults:Faults.t ->
@@ -25,10 +24,10 @@ val analyze_batch :
   Batch.result list * Batch.stats
 (** Analyze many [(name, source)] pairs through {!Batch}: a fixed-size
     pool of worker domains, deterministic input-order results, optional
-    content-addressed memoization (with function-granular incremental
-    reanalysis, on by default — see {!Batch.run}), per-source
-    {!Limits} budgets, and an optional deterministic {!Faults}
-    schedule. *)
+    content-addressed memoization (a cached file-tier miss re-analyzes
+    only the functions the function tier lacks — see {!Batch.run}),
+    per-source {!Limits} budgets, and an optional deterministic
+    {!Faults} schedule. *)
 
 val counts :
   t -> fname:string -> env:(string * int) list -> (string * float) list

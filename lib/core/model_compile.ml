@@ -1,6 +1,5 @@
 open Mira_symexpr
 open Mira_poly
-open Mira_arch
 
 exception Not_compilable of string
 
@@ -9,8 +8,8 @@ exception Not_compilable of string
 (* ------------------------------------------------------------------ *)
 
 (* A value symbolic in the sweep variables only: every fixed
-   parameter, arch constant and call binding has been folded.  [Spoly]
-   is the workhorse — polynomial contributions merge exactly (rational
+   parameter and call binding has been folded.  [Spoly] is the
+   workhorse — polynomial contributions merge exactly (rational
    coefficient arithmetic), which is what collapses an inlined call
    tree into one closed form per mnemonic.  The remaining constructors
    carry the non-polynomial residue (floor/ceil steps, min/max
@@ -288,8 +287,6 @@ type prog = {
   p_init : float array;  (* initial register image (consts preloaded) *)
   p_ops : op array;
   p_out : int array;  (* result register per mnemonic *)
-  p_fp : bool array;  (* fp_mnemonics membership, in p_mnemonics order *)
-  p_cost : float array;  (* per-mnemonic cycles; [||] without an arch *)
 }
 
 let params p = p.p_params
@@ -448,7 +445,7 @@ let rec creg_s b (v : s) : int =
 (* Compilation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let compile ?arch (model : Model_ir.t) ~fname ~sweep ~fixed : prog =
+let compile (model : Model_ir.t) ~fname ~sweep ~fixed : prog =
   let fm =
     match Model_ir.find model fname with
     | Some fm -> fm
@@ -495,11 +492,6 @@ let compile ?arch (model : Model_ir.t) ~fname ~sweep ~fixed : prog =
     p_init = init;
     p_ops = Array.of_list (List.rev b.ops_rev);
     p_out;
-    p_fp = Array.map (fun m -> List.mem m Model_eval.fp_mnemonics) mns;
-    p_cost =
-      (match arch with
-      | None -> [||]
-      | Some a -> Array.map (fun m -> Archdesc.cost_of_mnemonic a m) mns);
   }
 
 (* Structural soundness of a program — everything [run]'s unsafe
@@ -512,8 +504,6 @@ let validate (p : prog) : bool =
   && Array.length p.p_init = n
   && Array.length p.p_params <= n
   && Array.length p.p_out = nm
-  && Array.length p.p_fp = nm
-  && (Array.length p.p_cost = 0 || Array.length p.p_cost = nm)
   && Array.for_all reg p.p_out
   && Array.for_all
        (fun op ->
@@ -602,23 +592,6 @@ let eval (p : prog) ~env : (string * float) list =
   let out = run r (args_of_env p env) in
   Array.to_list (Array.mapi (fun i m -> (m, out.(i))) p.p_mnemonics)
 
-(* Derived metrics with arch constants folded at compile time. *)
-
-let total (_ : prog) (out : float array) =
-  Array.fold_left ( +. ) 0.0 out
-
-let fpi (p : prog) (out : float array) =
-  let acc = ref 0.0 in
-  Array.iteri (fun i fp -> if fp then acc := !acc +. out.(i)) p.p_fp;
-  !acc
-
-let cycles (p : prog) (out : float array) =
-  if Array.length p.p_cost = 0 then
-    invalid_arg "Model_compile.cycles: program compiled without an arch";
-  let acc = ref 0.0 in
-  Array.iteri (fun i c -> acc := !acc +. (c *. out.(i))) p.p_cost;
-  !acc
-
 (* ------------------------------------------------------------------ *)
 (* Program cache: two Store tiers                                      *)
 (* ------------------------------------------------------------------ *)
@@ -653,10 +626,12 @@ let stats c =
     fallbacks = r.Store.mem_hits + r.Store.stores;
   }
 
-let cache_version = "mira-prog-2"
+(* bumped from mira-prog-2: programs no longer carry fp flags or arch
+   costs, so an older [.prog] must never be unmarshalled as one *)
+let cache_version = "mira-prog-3"
 
 (* The content key: anything that can change the compiled program. *)
-let key ~digest ?arch ~fname ~sweep ~fixed () =
+let key ~digest ~fname ~sweep ~fixed () =
   let b = Buffer.create 160 in
   let add s =
     Buffer.add_string b s;
@@ -668,12 +643,6 @@ let key ~digest ?arch ~fname ~sweep ~fixed () =
   List.iter add sweep;
   add "|";
   List.iter (fun (k, v) -> add (Printf.sprintf "%s=%d" k v)) fixed;
-  add "|";
-  (match arch with
-  | None -> add "-"
-  | Some a ->
-      add a.Archdesc.name;
-      add (Stdlib.Digest.to_hex (Stdlib.Digest.string (Archdesc.to_text a))));
   Stdlib.Digest.to_hex (Stdlib.Digest.string (Buffer.contents b))
 
 (* Look up or compile.  [digest] must identify the model's content
@@ -682,9 +651,8 @@ let key ~digest ?arch ~fname ~sweep ~fixed () =
    cache version.  Raises like [compile] for model / parameter errors;
    "not compilable" is an [Error] so callers fall back to the
    interpreter. *)
-let get c ~digest ?arch ~model ~fname ~sweep ~fixed () :
-    (prog, string) result =
-  let k = key ~digest ?arch ~fname ~sweep ~fixed () in
+let get c ~digest ~model ~fname ~sweep ~fixed () : (prog, string) result =
+  let k = key ~digest ~fname ~sweep ~fixed () in
   let find t = Store.find t ~faults:None ~retries:0 k in
   let add t v = Store.add t ~faults:None ~retries:0 k v in
   match find c.c_rejected with
@@ -693,7 +661,7 @@ let get c ~digest ?arch ~model ~fname ~sweep ~fixed () :
       match find c.c_progs with
       | Some (p, _) -> Ok p
       | None -> (
-          match compile ?arch model ~fname ~sweep ~fixed with
+          match compile model ~fname ~sweep ~fixed with
           | p ->
               add c.c_progs p;
               Ok p

@@ -25,8 +25,9 @@
 
     A program computes the {!Model_eval.eval} shape: callees spliced
     in, one count per mnemonic.  Programs contain only plain data and
-    are cacheable: {!cache} keys them by (model digest, arch, fname,
-    sweep set, fixed values). *)
+    are cacheable: {!cache} keys them by (model digest, fname, sweep
+    set, fixed values).  Programs carry no arch: per-arch metrics
+    weight the counts {!run} returns. *)
 
 exception Not_compilable of string
 (** The model has no closed form under the requested sweep set (or
@@ -39,7 +40,6 @@ type prog
 (** A compiled evaluator.  Plain data (marshallable). *)
 
 val compile :
-  ?arch:Mira_arch.Archdesc.t ->
   Model_ir.t ->
   fname:string ->
   sweep:string list ->
@@ -47,8 +47,6 @@ val compile :
   prog
 (** Compile [fname] of the model with the given sweep variables (the
     program's inputs, in this order) and fixed parameter values.
-    [arch] folds per-mnemonic cycle costs into the program so
-    {!cycles} works; counts themselves are arch-independent.
     @raise Not_compilable when no closed form exists (see above).
     @raise Model_eval.Missing_parameter when the model references a
     parameter that is neither swept nor fixed — the same error
@@ -86,14 +84,6 @@ val eval : prog -> env:(string * int) list -> (string * float) list
 (** One-shot convenience with the {!Model_eval.eval} result shape.
     @raise Model_eval.Missing_parameter when [env] lacks an input. *)
 
-(** {1 Derived metrics (arch constants folded at compile time)} *)
-
-val total : prog -> float array -> float
-val fpi : prog -> float array -> float
-
-val cycles : prog -> float array -> float
-(** @raise Invalid_argument if compiled without [?arch]. *)
-
 (** {1 The program cache} *)
 
 type cache
@@ -121,22 +111,19 @@ val cache_version : string
 
 val key :
   digest:string ->
-  ?arch:Mira_arch.Archdesc.t ->
   fname:string ->
   sweep:string list ->
   fixed:(string * int) list ->
   unit ->
   string
 (** The content key (hex digest).  [digest] must identify the model
-    content exactly — the daemon and [mira dataset] pass the source's
-    {!Batch.key}; a digest of the emitted Python would not do, since
-    Python renders every deferred count as [(0)].  The arch
-    participates via its name and rendered description. *)
+    content exactly — the daemon passes the source's {!Batch.key}; a
+    digest of the emitted Python would not do, since Python renders
+    every deferred count as [(0)]. *)
 
 val get :
   cache ->
   digest:string ->
-  ?arch:Mira_arch.Archdesc.t ->
   model:Model_ir.t ->
   fname:string ->
   sweep:string list ->

@@ -1,9 +1,6 @@
 open Mira_symexpr
 open Mira_poly
 
-let python_name_of (model : Model_ir.t) name =
-  Model_ir.python_name (Model_ir.find_exn model name)
-
 let mult_py (m : Model_ir.mult) : string =
   let term (sign, c) =
     let body =

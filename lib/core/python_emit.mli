@@ -16,9 +16,6 @@ val emit_function : Model_ir.t -> string -> string
 (** One function's Python definition (by mangled name).
     @raise Invalid_argument on unknown names. *)
 
-val python_name_of : Model_ir.t -> string -> string
-(** Mangled name -> emitted Python name. *)
-
 val update_chunk : Model_ir.entry -> string option
 (** The rendered Python of one [Update] entry ([None] for a
     [Call_site], whose text depends on the assembled model).  Pure in

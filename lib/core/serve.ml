@@ -36,7 +36,6 @@ type config = {
   cfg_level : Mira_codegen.Codegen.level;
   cfg_limits : Limits.t;
   cfg_cache : Batch.cache option;
-  cfg_incremental : bool;
   cfg_faults : Faults.t option;
   cfg_auth_secret : string option;
 }
@@ -53,7 +52,6 @@ let default_config_endpoints ~endpoints =
     cfg_level = Mira_codegen.Codegen.O1;
     cfg_limits = Limits.default;
     cfg_cache = None;
-    cfg_incremental = true;
     cfg_faults = None;
     cfg_auth_secret = None;
   }
@@ -897,8 +895,8 @@ let request_limits (cfg : config) b =
 let analyze_source t ~name ~source ~limits =
   let cfg = t.t_cfg in
   let results, stats =
-    Batch.run ~jobs:1 ?cache:cfg.cfg_cache ~incremental:cfg.cfg_incremental
-      ~level:cfg.cfg_level ~limits ?faults:cfg.cfg_faults
+    Batch.run ~jobs:1 ?cache:cfg.cfg_cache ~level:cfg.cfg_level ~limits
+      ?faults:cfg.cfg_faults
       [ { Batch.src_name = name; src_text = source } ]
   in
   add_batch_stats t stats;

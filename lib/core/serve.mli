@@ -69,8 +69,9 @@ type config = {
           pool, not by connection or request count *)
   cfg_level : Mira_codegen.Codegen.level;
   cfg_limits : Limits.t;  (** per-request budget ceiling *)
-  cfg_cache : Batch.cache option;  (** the warm cache, shared by all requests *)
-  cfg_incremental : bool;
+  cfg_cache : Batch.cache option;
+      (** the warm cache, shared by all requests; a file-tier miss
+          re-analyzes only the functions its function tier lacks *)
   cfg_faults : Faults.t option;
       (** deterministic fault schedule (worker and wire sites; the
           wire sites fire identically over Unix and TCP transports) *)
@@ -86,7 +87,7 @@ type config = {
 val default_config_endpoints : endpoints:Endpoint.t list -> config
 (** 8 in-flight connections, 8-deep pipelines, 4 MiB frames, 30 s idle
     timeout, 2 s drain, 8 workers, [O1], {!Limits.default}, no cache,
-    incremental on, no faults. *)
+    no faults, no auth secret. *)
 
 val default_config : socket:string -> config
 (** [default_config_endpoints] over a single Unix-socket endpoint. *)

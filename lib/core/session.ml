@@ -7,13 +7,14 @@
    ({!Mira_srclang.Fingerprint.interface_of_program}) and each
    function's cross-file reference set ({!Fingerprint.func_refs}).
 
-   Reanalysis is function-granular and mirrors PR 3's batch
-   machinery exactly — [Input_processor.prepare] →
-   [function_digest] diff → [process_function] → [Bridge.create] →
-   [Metric_gen.build_part] → [Metric_gen.assemble] — so every warm
-   model is byte-identical to a cold whole-file analysis: parts are a
-   pure function of (function, closure) and the assembly fixpoint
-   reruns over the full part set.
+   A file is first analyzed whole, as a cold batch source is
+   ([Input_processor.parts] → [Metric_gen.assemble]).  Reanalysis is
+   function-granular, as a cached batch miss is:
+   [Input_processor.prepare] → [function_digest] diff →
+   [Input_processor.function_part] per invalidated function →
+   [Metric_gen.assemble].  So every warm model is byte-identical to a
+   cold whole-file analysis: parts are a pure function of (function,
+   closure) and the assembly fixpoint reruns over the full part set.
 
    Cross-file invalidation is name-based and conservative: each file
    is a self-contained program, but projects repeat shared
@@ -129,40 +130,34 @@ let with_budget t f = Limits.Budget.install (Limits.budget t.s_limits) f
 
 let salt = "mira-session-1"
 
-let mangle (f : Mira_srclang.Ast.func) =
-  match f.Mira_srclang.Ast.fclass with
-  | None -> f.fname
-  | Some c -> c ^ "::" ^ f.fname
-
-let build_part_of pr f =
-  let binast = Input_processor.process_function pr f in
-  let bridge = Bridge.create binast in
-  Metric_gen.build_part pr.Input_processor.pr_ast bridge f
-
-(* Whole-file analysis, producing the full file state.  Identical
-   pipeline to Batch's cold path: one compilation, parts for every
-   function, assemble (= Metric_gen.build), emit. *)
-let build_state t ~path text =
-  let pr = Input_processor.prepare ~level:t.s_level ~source_name:path text in
-  let input = Input_processor.process_prepared pr in
-  let bridge = Bridge.create input.Input_processor.binast in
+(* What an edit is diffed against: per-function digests, the exported
+   interface, and per-function cross-file reference sets. *)
+let tables pr =
   let ast = pr.Input_processor.pr_ast in
-  let fns = Mira_srclang.Ast.all_functions ast in
-  let parts =
-    List.map (fun f -> (mangle f, Metric_gen.build_part ast bridge f)) fns
+  let by_function g =
+    List.map
+      (fun f -> (Mira_srclang.Ast.mangle f, g f))
+      (Mira_srclang.Ast.all_functions ast)
   in
-  let model = Metric_gen.assemble ~source_name:path (List.map snd parts) in
+  ( by_function (Input_processor.function_digest pr ~salt),
+    Mira_srclang.Fingerprint.interface_of_program ast,
+    by_function (Mira_srclang.Fingerprint.func_refs ast) )
+
+(* Whole-file analysis, producing the full file state: Batch's cold
+   path (one compilation, every function's part, assemble, emit) plus
+   the tables. *)
+let build_state t ~path text =
+  let pr = Input_processor.prepare ~level:t.s_level text in
+  let _, parts = Input_processor.parts pr in
+  let model = Metric_gen.assemble ~source_name:path parts in
+  let digests, interface, refs = tables pr in
   {
     f_source = text;
     f_prepared = pr;
-    f_digests =
-      List.map
-        (fun f -> (mangle f, Input_processor.function_digest pr ~salt f))
-        fns;
-    f_parts = parts;
-    f_interface = Mira_srclang.Fingerprint.interface_of_program ast;
-    f_refs =
-      List.map (fun f -> (mangle f, Mira_srclang.Fingerprint.func_refs ast f)) fns;
+    f_digests = digests;
+    f_parts = List.map (fun p -> (p.Metric_gen.fp_name, p)) parts;
+    f_interface = interface;
+    f_refs = refs;
     f_model = model;
     f_python = Python_emit.emit model;
   }
@@ -221,23 +216,8 @@ let plan t ~path text =
   else
     match
       with_budget t (fun () ->
-          let pr =
-            Input_processor.prepare ~level:t.s_level ~source_name:path text
-          in
-          let ast = pr.Input_processor.pr_ast in
-          let fns = Mira_srclang.Ast.all_functions ast in
-          let digests =
-            List.map
-              (fun f -> (mangle f, Input_processor.function_digest pr ~salt f))
-              fns
-          in
-          let interface = Mira_srclang.Fingerprint.interface_of_program ast in
-          let refs =
-            List.map
-              (fun f ->
-                (mangle f, Mira_srclang.Fingerprint.func_refs ast f))
-              fns
-          in
+          let pr = Input_processor.prepare ~level:t.s_level text in
+          let digests, interface, refs = tables pr in
           (pr, digests, interface, refs))
     with
     | exception e -> Error (Diag.of_exn e)
@@ -320,11 +300,10 @@ let plan t ~path text =
                   })
 
 let plan_invalidated pl = pl.pl_invalidated
-let plan_path pl = pl.pl_path
 
 let find_func ast name =
   List.find_opt
-    (fun f -> mangle f = name)
+    (fun f -> Mira_srclang.Ast.mangle f = name)
     (Mira_srclang.Ast.all_functions ast)
 
 (* Pure recomputation of one invalidated function's part.  Thread-safe
@@ -345,7 +324,7 @@ let recompute t plan inv =
               (Printf.sprintf "%s was forgotten mid-reanalysis" inv.iv_file)
     in
     match find_func pr.Input_processor.pr_ast inv.iv_func with
-    | Some f -> build_part_of pr f
+    | Some f -> Input_processor.function_part pr f
     | None ->
         failwith
           (Printf.sprintf "no function %s in %s" inv.iv_func inv.iv_file)

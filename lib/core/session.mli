@@ -10,8 +10,8 @@
     {!reanalyze} diffs the edited file's per-function fingerprints,
     invalidates exactly the edited functions {e and} all cross-file
     dependents of its changed interface keys, re-analyzes only those
-    (stub-reduced single-function compilations, as in {!Batch}'s
-    incremental tier), and reassembles each touched file's model.
+    ({!Input_processor.function_part}, as a cached {!Batch} miss
+    does), and reassembles each touched file's model.
     Every warm model is {b byte-identical} to a cold whole-file
     analysis of the same text.
 
@@ -79,9 +79,10 @@ val create : ?level:Mira_codegen.Codegen.level -> ?limits:Limits.t -> unit -> t
     recomputation exactly as one batch source is bounded. *)
 
 val watch : t -> path:string -> string -> (info, Diag.t) result
-(** Cold whole-file analysis of [text]; the file is registered (or
-    refreshed) under [path].  Never raises: failures come back as a
-    structured {!Diag.t} and leave the session unchanged. *)
+(** Cold whole-file analysis of [text] ({!Input_processor.parts}, as a
+    cold {!Batch} source); the file is registered (or refreshed) under
+    [path].  Never raises: failures come back as a structured
+    {!Diag.t} and leave the session unchanged. *)
 
 val forget : t -> path:string -> bool
 (** Drop a file and its index entries; [false] when it was not
@@ -98,7 +99,6 @@ val reanalyze : t -> path:string -> string -> (update, Diag.t) result
 
 val plan : t -> path:string -> string -> (plan, Diag.t) result
 val plan_invalidated : plan -> inval list
-val plan_path : plan -> string
 
 val recompute : t -> plan -> inval -> (Metric_gen.part, Diag.t) result
 (** Rebuild one invalidated function's part.  Pure and thread-safe —

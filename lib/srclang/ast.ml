@@ -151,6 +151,14 @@ let find_extern p name = List.find_opt (fun x -> x.xname = name) p.externs
 let all_functions p =
   p.funcs @ List.concat_map (fun c -> c.cmethods) p.classes
 
+(* The one spelling of a function's mangled name — the symbol the
+   compiler writes into the object file, the bridge looks up and the
+   model is keyed by: [name], or [Class::name] for a method. *)
+let mangle_method cls name = cls ^ "::" ^ name
+
+let mangle f =
+  match f.fclass with None -> f.fname | Some c -> mangle_method c f.fname
+
 (* Iterate over every statement in a function body, depth first. *)
 let rec iter_stmts f stmts =
   List.iter

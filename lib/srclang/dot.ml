@@ -163,10 +163,7 @@ and block_node ctx stmts =
   id
 
 let func_node ctx (f : func) =
-  let qualified =
-    match f.fclass with None -> f.fname | Some c -> c ^ "::" ^ f.fname
-  in
-  let id = node ctx (Printf.sprintf "SgFunctionDeclaration %s" qualified) in
+  let id = node ctx (Printf.sprintf "SgFunctionDeclaration %s" (mangle f)) in
   let def = node ctx "SgFunctionDefinition" in
   edge ctx id def;
   edge ctx def (block_node ctx f.fbody);

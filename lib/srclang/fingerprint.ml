@@ -245,9 +245,6 @@ let digest_of add x =
   add b x;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let mangled (f : func) =
-  match f.fclass with None -> f.fname | Some c -> c ^ "::" ^ f.fname
-
 (* Only the annotation structure of the body, in traversal order:
    callers splice the callee's evaluated model, so an annotation edit
    inside [f] must reach [f]'s cross-file callers — but a plain body
@@ -273,7 +270,7 @@ let interface_of_program (p : program) =
       push ("class:" ^ c.cname) (digest_of add_class c);
       List.iter
         (fun (m : func) ->
-          push ("ann:" ^ mangled m) (digest_of add_body_annotations m))
+          push ("ann:" ^ mangle m) (digest_of add_body_annotations m))
         c.cmethods)
     p.classes;
   List.iter
@@ -312,7 +309,7 @@ let func_refs (p : program) (f : func) =
         match o.ety with
         | Some (Tclass c) ->
             add ("class:" ^ c);
-            add ("ann:" ^ c ^ "::" ^ m)
+            add ("ann:" ^ mangle_method c m)
         | _ -> ())
     | Cast (t, _) -> ty_refs t
     | Int_lit _ | Float_lit _ | Var _ | Index _ | Field _ | Binop _ | Unop _ ->

@@ -113,7 +113,7 @@ and infer_desc env e =
               error env at "class %s has no method %s" c m;
               Tint
           | Some f ->
-              check_args env at (c ^ "::" ^ m)
+              check_args env at (mangle_method c m)
                 (List.map (fun p -> p.pty) f.fparams)
                 args;
               f.fret)
@@ -301,9 +301,7 @@ let check prog =
   let seen = Hashtbl.create 16 in
   List.iter
     (fun (f : func) ->
-      let key =
-        match f.fclass with None -> f.fname | Some c -> c ^ "::" ^ f.fname
-      in
+      let key = mangle f in
       if Hashtbl.mem seen key then
         errors :=
           !errors @ [ { msg = "duplicate function " ^ key; at = f.fspan.lo } ]

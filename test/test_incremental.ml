@@ -10,7 +10,13 @@
    - the function tier's disk entries survive a fresh in-memory cache;
    - gc_disk evicts down to the cap and a gutted cache stays correct;
    - a whole file compiled from its prepared AST gives the object bytes
-     its text gives, at every level. *)
+     its text gives, at every level;
+   - every entry point — Mira.analyze, a cold Batch.run, a cached
+     Batch.run assembled from the function tier, Session.watch — gives
+     the same Python for every corpus program at every level.
+
+   The kernelgen cases draw from fixed seeds; MIRA_FUZZ_SEED, when set,
+   is mixed into each of them, so a seed sweep draws other kernels. *)
 
 open Mira_core
 
@@ -52,6 +58,12 @@ int f4(int *p, int n) {
 }
 |}
 let nfuncs = 4
+
+let rng seed =
+  Random.State.make
+    (match Sys.getenv_opt "MIRA_FUZZ_SEED" with
+    | None -> [| seed |]
+    | Some s -> [| seed; int_of_string s |])
 
 let python_of = function
   | Ok (a : Batch.analysis) -> a.a_python
@@ -152,7 +164,7 @@ let incremental_tests =
              (String.concat "\x00" (List.map python_of results))));
     test_case "random single-kernel edits: incremental = cold, jobs 1" `Quick
       (fun () ->
-        let rng = Random.State.make [| 9182 |] in
+        let rng = rng 9182 in
         for _trial = 1 to 8 do
           let src1 = Kernelgen.render (Kernelgen.gen_kernel rng) in
           let src2 = Kernelgen.render (Kernelgen.gen_kernel rng) in
@@ -176,7 +188,7 @@ let incremental_tests =
         done);
     test_case "random single-kernel edits: incremental = cold, jobs 4" `Quick
       (fun () ->
-        let rng = Random.State.make [| 7341 |] in
+        let rng = rng 7341 in
         let pairs =
           List.init 4 (fun i ->
               ( Printf.sprintf "kern%d.mc" i,
@@ -255,27 +267,9 @@ let incremental_tests =
               (String.equal
                  (String.concat "\x00" (List.map python_of reference))
                  (String.concat "\x00" (List.map python_of results)))));
-    test_case "incremental off falls back to whole-file analysis" `Quick
-      (fun () ->
-        let cache = Batch.create_cache () in
-        ignore (Mira.analyze_batch ~cache [ ("prog.mc", mk_src "2.0") ]);
-        let results, s =
-          Mira.analyze_batch ~cache ~incremental:false
-            [ ("prog.mc", mk_src "3.0") ]
-        in
-        check int "whole file re-analyzed" 1 s.Batch.st_analyzed;
-        check int "nothing assembled" 0 s.Batch.st_assembled;
-        check int "function tier untouched" 0
-          (s.Batch.st_fn_mem_hits + s.Batch.st_fn_disk_hits
-         + s.Batch.st_fn_analyzed);
-        let cold, _ = Mira.analyze_batch [ ("prog.mc", mk_src "3.0") ] in
-        check bool "python identical to cold" true
-          (String.equal
-             (String.concat "\x00" (List.map python_of results))
-             (String.concat "\x00" (List.map python_of cold))));
     test_case "the prepared AST compiles to the text's object bytes" `Quick
       (fun () ->
-        let rng = Random.State.make [| 20260806 |] in
+        let rng = rng 20260806 in
         let kernels =
           List.init 20 (fun i ->
               ( Printf.sprintf "kern%d.mc" i,
@@ -285,12 +279,66 @@ let incremental_tests =
           (fun level ->
             List.iter
               (fun (name, src) ->
-                let pr = Input_processor.prepare ~level ~source_name:name src in
+                let input, _ =
+                  Input_processor.parts (Input_processor.prepare ~level src)
+                in
                 check bool name true
                   (String.equal
                      (Mira_codegen.Codegen.compile_to_object ~level src)
-                     (Input_processor.process_prepared pr).object_bytes))
+                     input.Input_processor.object_bytes))
               (Mira_corpus.Corpus.all @ kernels))
+          Mira_codegen.Codegen.[ O0; O1; O2 ]);
+    test_case "every entry point gives one answer" `Quick (fun () ->
+        List.iter
+          (fun level ->
+            List.iter
+              (fun (name, src) ->
+                let what label =
+                  Printf.sprintf "%s at %s: %s" name
+                    (match level with
+                    | Mira_codegen.Codegen.O0 -> "O0"
+                    | O1 -> "O1"
+                    | O2 -> "O2")
+                    label
+                in
+                let batch ?cache text =
+                  match
+                    Batch.run ?cache ~level
+                      [ { Batch.src_name = name; src_text = text } ]
+                  with
+                  | [ Ok a ], s -> (a.Batch.a_python, s)
+                  | [ Error (_, d) ], _ ->
+                      failf "%s" (what (Diag.to_string d))
+                  | _ -> fail (what "unexpected batch shape")
+                in
+                let direct =
+                  Mira.python_model (Mira.analyze ~level ~source_name:name src)
+                in
+                let cold, _ = batch src in
+                let cache = Batch.create_cache () in
+                ignore (batch ~cache src);
+                (* a trailing newline misses the file tier but shifts no
+                   line, so every function hits the function tier *)
+                let assembled, s = batch ~cache (src ^ "\n") in
+                check int (what "assembled") 1 s.Batch.st_assembled;
+                check int (what "no function re-analyzed") 0
+                  s.Batch.st_fn_analyzed;
+                let watched =
+                  match
+                    Session.watch (Session.create ~level ()) ~path:name src
+                  with
+                  | Ok info -> info.Session.in_python
+                  | Error d -> failf "%s" (what (Diag.to_string d))
+                in
+                List.iter
+                  (fun (label, python) ->
+                    check bool (what label) true (String.equal direct python))
+                  [
+                    ("cold Batch.run", cold);
+                    ("assembled Batch.run", assembled);
+                    ("Session.watch", watched);
+                  ])
+              Mira_corpus.Corpus.all)
           Mira_codegen.Codegen.[ O0; O1; O2 ]);
   ]
 

@@ -51,7 +51,7 @@ let tiny_src =
 let bad_src = "int broken(int n) {\n  return\n"
 
 let tiny_batch () =
-  Batch.run ~jobs:1 ~incremental:false ~level ~limits
+  Batch.run ~jobs:1 ~level ~limits
     [
       { Batch.src_name = "tiny.mc"; src_text = tiny_src };
       { Batch.src_name = "broken.mc"; src_text = bad_src };
@@ -141,7 +141,7 @@ let check_cli_batch_json () =
       | Unix.WEXITED 0 -> ()
       | _ -> Alcotest.fail "mira batch --format json exited non-zero");
       let results, stats =
-        Batch.run ~jobs:1 ~incremental:false ~level ~limits
+        Batch.run ~jobs:1 ~level ~limits
           [ { Batch.src_name = Filename.basename src; src_text = tiny_src } ]
       in
       Alcotest.(check string)
@@ -196,7 +196,7 @@ let check_primary_pos () =
 let check_multi_error_pipeline () =
   let two_errors = "int f(int n) {\n  return missing_a + missing_b;\n}\n" in
   match
-    Batch.run ~jobs:1 ~incremental:false ~level ~limits
+    Batch.run ~jobs:1 ~level ~limits
       [ { Batch.src_name = "two.mc"; src_text = two_errors } ]
   with
   | [ Error (_, d) ], _ ->

@@ -168,7 +168,7 @@ let tree0 = [ ("a.mc", a0); ("b.mc", b0); ("c.mc", c0) ]
 (* the cold oracle every warm model is held to *)
 let cold_python path text =
   match
-    Batch.run ~jobs:1 ~incremental:false ~level ~limits
+    Batch.run ~jobs:1 ~level ~limits
       [ { Batch.src_name = path; src_text = text } ]
   with
   | [ Ok a ], _ -> a.Batch.a_python
