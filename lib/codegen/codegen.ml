@@ -2,9 +2,11 @@ type level = O0 | O1 | O2
 
 exception Error = Emit.Error
 
-let compile_ast ?(level = O1) (ast : Mira_srclang.Ast.program) =
+let front_end ?(level = O1) (ast : Mira_srclang.Ast.program) =
   let ast = match level with O0 -> ast | O1 | O2 -> Fold.program ast in
-  let ast = Mira_srclang.Typecheck.check_exn ast in
+  Mira_srclang.Typecheck.check_exn ast
+
+let lower ?(level = O1) (ast : Mira_srclang.Ast.program) =
   let prog = Emit.program ~addressing_fold:(level <> O0) ast in
   let prog =
     match level with
@@ -12,6 +14,8 @@ let compile_ast ?(level = O1) (ast : Mira_srclang.Ast.program) =
     | O1 | O2 -> Peephole.program (Liveness.program prog)
   in
   match level with O2 -> Vectorize.program prog | O0 | O1 -> prog
+
+let compile_ast ?level ast = lower ?level (front_end ?level ast)
 
 let compile ?level src = compile_ast ?level (Mira_srclang.Parser.parse src)
 
@@ -28,15 +32,19 @@ let compile_to_object ?level src = Mira_visa.Objfile.encode (compile ?level src)
    mnemonics observes).  Return types the backend cannot stub (arrays,
    classes) keep their original body: the backend rejects such
    signatures at the function header regardless of the body, so error
-   behavior matches whole-file compilation exactly. *)
+   behavior matches whole-file compilation exactly.  The stub literals
+   carry their type, since a reduced program goes straight to
+   [lower]. *)
 let stub_body (f : Mira_srclang.Ast.func) =
   let open Mira_srclang in
-  let ret e = [ Ast.mk_stmt (Ast.Return e) Loc.dummy ] in
+  let ret ty e =
+    let e = Ast.mk_expr ~ety:(Some ty) e Loc.dummy in
+    [ Ast.mk_stmt (Ast.Return (Some e)) Loc.dummy ]
+  in
   match f.Ast.fret with
   | Ast.Tvoid -> Some []
-  | Ast.Tint -> Some (ret (Some (Ast.mk_expr (Ast.Int_lit 0) Loc.dummy)))
-  | Ast.Tdouble ->
-      Some (ret (Some (Ast.mk_expr (Ast.Float_lit 0.0) Loc.dummy)))
+  | Ast.Tint -> Some (ret Ast.Tint (Ast.Int_lit 0))
+  | Ast.Tdouble -> Some (ret Ast.Tdouble (Ast.Float_lit 0.0))
   | Ast.Tarr _ | Ast.Tclass _ -> None
 
 let reduce_to_function (p : Mira_srclang.Ast.program) ~name ~cls :

@@ -17,11 +17,20 @@ type level = O0 | O1 | O2
 
 exception Error of string * Mira_srclang.Loc.pos
 
+val front_end :
+  ?level:level -> Mira_srclang.Ast.program -> Mira_srclang.Ast.program
+(** Fold (per [level]) and typecheck, filling every expression's type;
+    spans are preserved.  @raise Mira_srclang.Typecheck.Check_error. *)
+
+val lower : ?level:level -> Mira_srclang.Ast.program -> Mira_visa.Program.t
+(** The backend alone: lowers and cleans up an AST that {!front_end}
+    already produced at [level].  @raise Error on unsupported
+    constructs. *)
+
 val compile_ast :
   ?level:level -> Mira_srclang.Ast.program -> Mira_visa.Program.t
-(** Typechecks, folds (per [level]), lowers, cleans up.
-    @raise Error on unsupported constructs.
-    @raise Failure if the program does not typecheck. *)
+(** [lower (front_end ast)], for a raw AST.
+    @raise Error, [Mira_srclang.Typecheck.Check_error]. *)
 
 val compile : ?level:level -> string -> Mira_visa.Program.t
 (** Parse and compile mini-C source text. *)
@@ -37,4 +46,5 @@ val reduce_to_function :
     Signatures, classes and externs are preserved, so compiling the
     reduced program yields instructions for the kept function that are
     identical (as mnemonic streams with source positions) to a
-    whole-file compilation. *)
+    whole-file compilation.  Stubs come typed: reducing a
+    {!front_end} result gives a program {!lower} accepts. *)

@@ -65,21 +65,19 @@ type stats = {
 
 (* ---------- content addressing ---------- *)
 
-(* bumped from mira-batch-3: model parameters no longer include
-   variables of bindings the callee never reads, and the emitted Python
-   renames parameters that shadow its own names, so older payloads
-   hold other models and other Python — versioning the key keeps them
-   from ever being looked up (they age out under the old version via
-   gc_disk) *)
-let cache_version = "mira-batch-4"
+(* bumped from mira-batch-4: a payload's model no longer carries each
+   entry's rendered Python, so an older payload has another layout and
+   must never be unmarshalled as this one — versioning the key keeps it
+   from ever being looked up (it ages out under the old version via
+   gc_disk).  test_store pins each version's payload bytes. *)
+let cache_version = "mira-batch-5"
 
 (* the function tier versions independently of the file tier: it keys
    marshalled Metric_gen.part values, whose layout can change without
    the file payloads changing (and vice versa) *)
-(* bumped from mira-fn-2: a part's free vars no longer include its
-   call-site bindings', and its Update chunks rename shadowing
-   parameters *)
-let fn_cache_version = "mira-fn-3"
+(* bumped from mira-fn-3: a part no longer carries its Update entries'
+   rendered Python *)
+let fn_cache_version = "mira-fn-4"
 
 let level_tag = function
   | Mira_codegen.Codegen.O0 -> "O0"
@@ -93,10 +91,12 @@ let key ~level text =
 (* ---------- two-tier cache ---------- *)
 
 (* What a cache entry holds: the model plus the Python emitted for it
-   under [p_name].  Emission is deterministic in (model, name), so a
-   hit under the same name reuses [p_python] verbatim and a hit under
-   another name (renamed identical file) re-emits from the model —
-   either way the output is byte-identical to a fresh analysis. *)
+   under [p_name], kept because this tier answers every daemon analyze
+   and eval, and so every sweep binding.  Emission is deterministic in
+   (model, name), so a hit under the same name reuses [p_python]
+   verbatim and a hit under another name (renamed identical file)
+   re-emits from the model — either way the output is byte-identical
+   to a fresh analysis. *)
 type payload = { p_name : string; p_model : Model_ir.t; p_python : string }
 
 (* Two Store tiers on one directory: whole-file payloads keyed by [key],

@@ -84,12 +84,17 @@ type stats = {
       (** functions re-analyzed in isolation this run — editing one
           function of an N-function source costs 1 here, not N *)
 }
+(** The function-tier, corruption and I/O fields are this run's deltas
+    of the cache's cumulative {!cache_health} counters, so they include
+    the traffic of any concurrent run on the same cache; the other
+    fields count this run's sources alone. *)
 
 type cache
 
 val cache_version : string
-(** Participates in every file-tier key; bump on model-format
-    changes. *)
+(** Participates in every file-tier key; bump whenever the marshalled
+    payload (model and Python) changes.  [test_store] pins the bytes
+    each version writes. *)
 
 val fn_cache_version : string
 (** Participates in every function-tier digest; bump when

@@ -5,18 +5,13 @@ type prepared = {
 }
 
 let prepare ?(level = Mira_codegen.Codegen.O1) source =
-  (* The analysis AST is folded the same way the compiler folds (spans
+  (* The analysis AST is the compiler's own front end's output (spans
      are preserved), so the metric generator's value propagation sees
-     the expressions the binary actually implements; the compiler
-     then compiles this same AST. *)
-  let parsed = Mira_srclang.Parser.parse source in
-  let parsed =
-    match level with
-    | Mira_codegen.Codegen.O0 -> parsed
-    | Mira_codegen.Codegen.O1 | Mira_codegen.Codegen.O2 ->
-        Mira_codegen.Fold.program parsed
+     the expressions the binary actually implements; the backend then
+     lowers this same AST. *)
+  let ast =
+    Mira_codegen.Codegen.front_end ~level (Mira_srclang.Parser.parse source)
   in
-  let ast = Mira_srclang.Typecheck.check_exn parsed in
   {
     pr_level = level;
     pr_ast = ast;
@@ -29,15 +24,13 @@ type t = {
   binast : Mira_visa.Binast.t;
 }
 
-(* The deliberate object-file round trip, then the bridge.  Compiled
-   from the prepared AST, not re-parsed from the text: typechecking
-   fills [ety] slots unconditionally and folding rebuilds nodes, so the
-   object is byte-for-byte what a fresh parse would give, and parsing
-   is the dominant cost of a single-function re-analysis. *)
+(* The deliberate object-file round trip, then the bridge.  The
+   prepared AST is already folded and typechecked, so only the backend
+   runs: the object is byte-for-byte what compiling the text gives,
+   and neither the parse nor the front end is repeated per compile. *)
 let compile pr ast =
   let object_bytes =
-    Mira_visa.Objfile.encode
-      (Mira_codegen.Codegen.compile_ast ~level:pr.pr_level ast)
+    Mira_visa.Objfile.encode (Mira_codegen.Codegen.lower ~level:pr.pr_level ast)
   in
   let binast = Mira_visa.Binast.of_object object_bytes in
   (object_bytes, binast, Bridge.create binast)

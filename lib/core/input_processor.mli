@@ -23,10 +23,12 @@ type prepared = {
 }
 
 val prepare : ?level:Mira_codegen.Codegen.level -> string -> prepared
-(** Parse mini-C source text, fold it per [level] (default [O1]) as
-    the compiler does, typecheck it and compute the fingerprint
-    closure.
-    @raise Mira_srclang.Parser.Error, [Failure] (typechecking). *)
+(** Parse mini-C source text, run the compiler's
+    {!Mira_codegen.Codegen.front_end} on it at [level] (default [O1]:
+    fold, typecheck) and compute the fingerprint closure.  Every
+    compile of the result runs only the backend.
+    @raise Mira_srclang.Parser.Error,
+    [Mira_srclang.Typecheck.Check_error]. *)
 
 type t = {
   ast : Mira_srclang.Ast.program;  (** typechecked source AST *)

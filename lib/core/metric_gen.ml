@@ -543,10 +543,6 @@ type part = {
          of kilobytes for deep dependent nests, and the parameter
          fixpoint at assembly must not re-walk them on every
          incremental reanalysis *)
-  fp_update_py : string option list;
-      (* {!Python_emit.update_chunk} per entry, precomputed for the
-         same reason: emission of a cached function must splice stored
-         text, not re-render those expressions *)
 }
 
 (* Fixpoint over the call graph: for each parameter of a callee's
@@ -639,7 +635,6 @@ let build_part (prog : program) (bridge : Bridge.t) (f : func) : part =
     fp_entries = entries;
     fp_warnings = warnings;
     fp_free = S.elements (local_free_vars entries);
-    fp_update_py = List.map Python_emit.update_chunk entries;
   }
 
 (* The parameter fixpoint runs at assembly time over the parts —
@@ -658,7 +653,6 @@ let assemble ~source_name (parts : part list) : Model_ir.t =
           mf_params = List.assoc p.fp_name params;
           mf_entries = p.fp_entries;
           mf_warnings = p.fp_warnings;
-          mf_update_py = p.fp_update_py;
         })
       parts
   in

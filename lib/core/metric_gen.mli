@@ -29,15 +29,13 @@ type part = {
           of call-site bindings), precomputed so the assembly fixpoint
           never re-walks the (possibly very large) multiplicity
           expressions *)
-  fp_update_py : string option list;
-      (** {!Python_emit.update_chunk} per entry, precomputed so
-          emission of a cache-served function splices stored text *)
 }
 (** One function's contribution to the model before the whole-program
     parameter fixpoint.  A part depends only on the function and its
     analysis closure (signatures, classes, externs), never on other
     functions' bodies — which is what makes parts cacheable under a
-    {!Mira_srclang.Fingerprint} digest. *)
+    {!Mira_srclang.Fingerprint} digest.  It holds no rendered Python:
+    {!Python_emit} renders the assembled model. *)
 
 val build_part : Mira_srclang.Ast.program -> Bridge.t -> Mira_srclang.Ast.func -> part
 (** Model one function of a typechecked program against a bridge that

@@ -4,7 +4,9 @@
    Python of the paper's Figure 5: each function accumulates
    per-mnemonic instruction counts, where every contribution is a
    static count vector times a symbolic execution multiplicity, plus
-   call sites that splice in callee models with argument bindings. *)
+   call sites that splice in callee models with argument bindings.
+   The model holds no rendered text: {!Python_emit} renders it on
+   demand. *)
 
 open Mira_symexpr
 open Mira_poly
@@ -56,11 +58,6 @@ type fmodel = {
   mf_params : string list;  (* model parameters, in signature order *)
   mf_entries : entry list;
   mf_warnings : string list;
-  mf_update_py : string option list;
-      (* per-entry cached Python rendering, in lockstep with
-         [mf_entries]: [Some chunk] for [Update] entries (whose text
-         depends only on the entry), [None] for [Call_site] entries
-         (rendered live against the assembled model) *)
 }
 
 type t = {
@@ -91,14 +88,6 @@ let free_vars_of_mult m =
       match c with
       | Count.Closed e -> Expr.vars e
       | Count.Deferred d -> Domain.parameters d)
-    m.terms
-
-let mult_is_static m =
-  List.for_all
-    (fun (_, c) ->
-      match c with
-      | Count.Closed e -> Expr.is_const e <> None
-      | Count.Deferred d -> Domain.parameters d = [])
     m.terms
 
 let all_warnings t =

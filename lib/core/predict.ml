@@ -13,6 +13,14 @@ type t = {
   bound : [ `Compute | `Memory | `Balanced ];
 }
 
+let scientific v =
+  if v = 0.0 then "0"
+  else
+    let e = int_of_float (floor (log10 (Float.abs v))) in
+    let m = v /. (10.0 ** float_of_int e) in
+    (* two significant decimals, like 1.93E8 *)
+    Printf.sprintf "%.4gE%d" m e
+
 let of_counts (arch : Archdesc.t) counts =
   let lanes = float_of_int (Archdesc.vector_lanes arch) in
   let instructions = List.fold_left (fun a (_, c) -> a +. c) 0.0 counts in
@@ -83,11 +91,11 @@ let pp ppf t =
      \  roofline attainable   %.2f GFLOP/s@,\
      \  verdict               %s-bound@]"
     t.arch
-    (Report.scientific t.instructions)
-    (Report.scientific t.cycles)
+    (scientific t.instructions)
+    (scientific t.cycles)
     t.seconds
-    (Report.scientific t.flops)
-    (Report.scientific t.bytes)
+    (scientific t.flops)
+    (scientific t.bytes)
     t.arithmetic_intensity t.gflops_achieved t.gflops_attainable
     (match t.bound with
     | `Compute -> "compute"
@@ -140,8 +148,8 @@ let pp_parallel ppf t =
      \  est. time        %.6f s@,\
      \  est. speedup     %.2fx (efficiency %.0f%%)@]"
     t.p_arch t.cores_used
-    (Report.scientific t.serial_cycles)
-    (Report.scientific t.parallel_cycles)
+    (scientific t.serial_cycles)
+    (scientific t.parallel_cycles)
     t.seconds_parallel t.speedup (100.0 *. t.efficiency)
 
 let parallel_to_string t = Format.asprintf "%a" pp_parallel t

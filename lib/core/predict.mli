@@ -27,6 +27,9 @@ type t = {
 
 val of_counts : Mira_arch.Archdesc.t -> (string * float) list -> t
 
+val scientific : float -> string
+(** Format like the paper's tables: 1.93E8 ({!Report.scientific}). *)
+
 val compare_architectures :
   Mira_arch.Archdesc.t list -> (string * float) list -> (string * t) list
 (** Predict the same workload on several machines, fastest first. *)

@@ -7,7 +7,12 @@
     splices callees with [handle_function_call(caller, callee, iters)].
     The emitted text is runnable by CPython and by the bundled
     mini-Python interpreter, which the test suite uses to check it
-    against {!Model_eval}. *)
+    against {!Model_eval}.
+
+    Python is a view of the model: parts and models store none, so
+    each call renders the whole model anew.  A count with no closed
+    form ([Count.Deferred], which {!Model_eval} enumerates)
+    contributes [0] to the Python; ROADMAP item 2 owns the fix. *)
 
 val emit : Model_ir.t -> string
 (** The whole model as a Python module. *)
@@ -15,10 +20,3 @@ val emit : Model_ir.t -> string
 val emit_function : Model_ir.t -> string -> string
 (** One function's Python definition (by mangled name).
     @raise Invalid_argument on unknown names. *)
-
-val update_chunk : Model_ir.entry -> string option
-(** The rendered Python of one [Update] entry ([None] for a
-    [Call_site], whose text depends on the assembled model).  Pure in
-    the entry, so {!Metric_gen.build_part} precomputes it and a
-    cache-served function is emitted by splicing stored text instead
-    of re-rendering its multiplicity expressions. *)

@@ -14,13 +14,7 @@ let categorize (arch : Archdesc.t) counts =
     (fun (g, _) -> (g, Option.value ~default:0.0 (Hashtbl.find_opt totals g)))
     arch.groups
 
-let scientific v =
-  if v = 0.0 then "0"
-  else
-    let e = int_of_float (floor (log10 (Float.abs v))) in
-    let m = v /. (10.0 ** float_of_int e) in
-    (* two significant decimals, like 1.93E8 *)
-    Printf.sprintf "%.4gE%d" m e
+let scientific = Predict.scientific
 
 let table2 arch counts =
   let rows = categorize arch counts in
@@ -53,27 +47,5 @@ let arithmetic_intensity arch counts =
   let move = group_count arch counts "SSE2 data movement instruction" in
   if move = 0.0 then 0.0 else arith /. move
 
-let roofline_gflops (arch : Archdesc.t) counts =
-  let lanes = float_of_int (Archdesc.vector_lanes arch) in
-  let flops =
-    List.fold_left
-      (fun acc (m, c) ->
-        match m with
-        | "addsd" | "subsd" | "mulsd" | "divsd" | "sqrtsd" -> acc +. c
-        | "addpd" | "subpd" | "mulpd" | "divpd" -> acc +. (lanes *. c)
-        | _ -> acc)
-      0.0 counts
-  in
-  let bytes =
-    List.fold_left
-      (fun acc (m, c) ->
-        match m with
-        | "movsd" -> acc +. (8.0 *. c)
-        | "movapd" -> acc +. (8.0 *. lanes *. c)
-        | _ -> acc)
-      0.0 counts
-  in
-  if bytes = 0.0 then arch.peak_gflops
-  else
-    let ai = flops /. bytes in
-    Float.min arch.peak_gflops (ai *. arch.mem_gbps)
+let roofline_gflops arch counts =
+  (Predict.of_counts arch counts).Predict.gflops_attainable

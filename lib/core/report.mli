@@ -23,7 +23,8 @@ val roofline_gflops :
   Mira_arch.Archdesc.t -> (string * float) list -> float
 (** Attainable GFLOP/s estimate: min(peak, byte-based AI × bandwidth),
     taking 8 bytes per scalar FP move and counting FP arithmetic
-    instructions as flops (packed ones as vector-lane multiples). *)
+    instructions as flops (packed ones as vector-lane multiples) —
+    {!Predict.of_counts}'s [gflops_attainable]. *)
 
 val scientific : float -> string
 (** Format like the paper's tables: 1.93E8. *)

@@ -753,9 +753,12 @@ type t = {
   t_failed : int Atomic.t;
   t_shed : int Atomic.t;
   t_proto_err : int Atomic.t;
-  (* accumulated Batch.stats over served requests *)
-  t_batch_mu : Mutex.t;
-  mutable t_batch : Batch.stats option;
+  (* per-request tier outcomes, each exact for its own request; the
+     cache-wide counters are read from the cache itself ([stats]) *)
+  t_analyzed : int Atomic.t;
+  t_mem_hits : int Atomic.t;
+  t_disk_hits : int Atomic.t;
+  t_assembled : int Atomic.t;
   (* compiled evaluators, shared across workers and requests: eval and
      sweep bindings with the same (model, function, parameter-name
      set) re-run one program instead of re-walking the model *)
@@ -769,35 +772,18 @@ type t = {
 }
 
 let add_batch_stats t (s : Batch.stats) =
-  Mutex.lock t.t_batch_mu;
-  (t.t_batch <-
-    (match t.t_batch with
-    | None -> Some s
-    | Some a ->
-        Some
-          {
-            a with
-            Batch.st_analyzed = a.Batch.st_analyzed + s.Batch.st_analyzed;
-            st_mem_hits = a.st_mem_hits + s.Batch.st_mem_hits;
-            st_disk_hits = a.st_disk_hits + s.Batch.st_disk_hits;
-            st_assembled = a.st_assembled + s.Batch.st_assembled;
-            st_fn_mem_hits = a.st_fn_mem_hits + s.Batch.st_fn_mem_hits;
-            st_fn_disk_hits = a.st_fn_disk_hits + s.Batch.st_fn_disk_hits;
-            st_fn_analyzed = a.st_fn_analyzed + s.Batch.st_fn_analyzed;
-            st_cache_corrupt = a.st_cache_corrupt + s.Batch.st_cache_corrupt;
-            st_io_retries = a.st_io_retries + s.Batch.st_io_retries;
-            st_io_failures = a.st_io_failures + s.Batch.st_io_failures;
-          }));
-  Mutex.unlock t.t_batch_mu
+  ignore (Atomic.fetch_and_add t.t_analyzed s.Batch.st_analyzed);
+  ignore (Atomic.fetch_and_add t.t_mem_hits s.Batch.st_mem_hits);
+  ignore (Atomic.fetch_and_add t.t_disk_hits s.Batch.st_disk_hits);
+  ignore (Atomic.fetch_and_add t.t_assembled s.Batch.st_assembled)
 
+(* The function-tier, corruption and I/O counters are the cache's own:
+   a request's [Batch.stats] deltas also count the traffic of requests
+   running concurrently on other workers, so summing them would count
+   each event once per overlapping request. *)
 let stats t =
-  let b =
-    Mutex.lock t.t_batch_mu;
-    let b = t.t_batch in
-    Mutex.unlock t.t_batch_mu;
-    b
-  in
-  let bf f = match b with None -> 0 | Some s -> f s in
+  let h = Option.map Batch.cache_health t.t_cfg.cfg_cache in
+  let hf f = match h with None -> 0 | Some h -> f h in
   let cs = Model_compile.stats t.t_compile in
   {
     sv_uptime_ms =
@@ -808,16 +794,16 @@ let stats t =
     sv_protocol_errors = Atomic.get t.t_proto_err;
     sv_inflight = Atomic.get t.t_inflight;
     sv_inflight_hwm = Atomic.get t.t_hwm;
-    sv_analyzed = bf (fun s -> s.Batch.st_analyzed);
-    sv_mem_hits = bf (fun s -> s.Batch.st_mem_hits);
-    sv_disk_hits = bf (fun s -> s.Batch.st_disk_hits);
-    sv_assembled = bf (fun s -> s.Batch.st_assembled);
-    sv_fn_mem_hits = bf (fun s -> s.Batch.st_fn_mem_hits);
-    sv_fn_disk_hits = bf (fun s -> s.Batch.st_fn_disk_hits);
-    sv_fn_analyzed = bf (fun s -> s.Batch.st_fn_analyzed);
-    sv_cache_corrupt = bf (fun s -> s.Batch.st_cache_corrupt);
-    sv_io_retries = bf (fun s -> s.Batch.st_io_retries);
-    sv_io_failures = bf (fun s -> s.Batch.st_io_failures);
+    sv_analyzed = Atomic.get t.t_analyzed;
+    sv_mem_hits = Atomic.get t.t_mem_hits;
+    sv_disk_hits = Atomic.get t.t_disk_hits;
+    sv_assembled = Atomic.get t.t_assembled;
+    sv_fn_mem_hits = hf (fun h -> h.Batch.h_fn_mem_hits);
+    sv_fn_disk_hits = hf (fun h -> h.Batch.h_fn_disk_hits);
+    sv_fn_analyzed = hf (fun h -> h.Batch.h_fn_fresh);
+    sv_cache_corrupt = hf (fun h -> h.Batch.h_corrupt);
+    sv_io_retries = hf (fun h -> h.Batch.h_io_retries);
+    sv_io_failures = hf (fun h -> h.Batch.h_io_failures);
     sv_compile_hits = cs.Model_compile.hits;
     sv_compile_misses = cs.Model_compile.misses;
     sv_compile_fallbacks = cs.Model_compile.fallbacks;
@@ -861,8 +847,10 @@ let create cfg =
     t_failed = Atomic.make 0;
     t_shed = Atomic.make 0;
     t_proto_err = Atomic.make 0;
-    t_batch_mu = Mutex.create ();
-    t_batch = None;
+    t_analyzed = Atomic.make 0;
+    t_mem_hits = Atomic.make 0;
+    t_disk_hits = Atomic.make 0;
+    t_assembled = Atomic.make 0;
     t_compile =
       (* share the analysis cache's directory so compiled programs
          survive restarts alongside the models they derive from *)

@@ -259,9 +259,12 @@ type server_stats = {
   sv_protocol_errors : int;  (** malformed frames rejected *)
   sv_inflight : int;  (** connections being served right now *)
   sv_inflight_hwm : int;  (** in-flight high-water mark *)
-  (* accumulated Batch.stats over every analyze/eval served, so an
-     operator can watch cache efficiency and robustness degrade before
-     it becomes an outage *)
+  (* cache efficiency and robustness, so an operator can watch them
+     degrade before it becomes an outage: each served analyze/eval's
+     tier outcome ([sv_analyzed] … [sv_assembled]), then the configured
+     cache's own function-tier, corruption and I/O counters
+     ({!Batch.cache_health}; 0 without a cache), so each cache event
+     counts once however many requests overlap *)
   sv_analyzed : int;
   sv_mem_hits : int;
   sv_disk_hits : int;

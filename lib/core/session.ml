@@ -2,10 +2,12 @@
 
    A session holds, per watched file: the source text, the prepared
    (parsed, folded, typechecked) AST, the per-function fingerprint
-   table, the per-function model parts, the assembled model and its
-   emitted Python — plus the file's exported interface
+   table, the per-function model parts and the assembled model — plus
+   the file's exported interface
    ({!Mira_srclang.Fingerprint.interface_of_program}) and each
    function's cross-file reference set ({!Fingerprint.func_refs}).
+   It keeps no Python: {!info_of} and {!commit} render the models
+   they report.
 
    A file is first analyzed whole, as a cold batch source is
    ([Input_processor.parts] → [Metric_gen.assemble]).  Reanalysis is
@@ -70,7 +72,6 @@ type fstate = {
   f_interface : (string * string) list;
   f_refs : (string * string list) list;
   f_model : Model_ir.t;
-  f_python : string;
 }
 
 type t = {
@@ -144,8 +145,8 @@ let tables pr =
     by_function (Mira_srclang.Fingerprint.func_refs ast) )
 
 (* Whole-file analysis, producing the full file state: Batch's cold
-   path (one compilation, every function's part, assemble, emit) plus
-   the tables. *)
+   path (one compilation, every function's part, assemble) plus the
+   tables. *)
 let build_state t ~path text =
   let pr = Input_processor.prepare ~level:t.s_level text in
   let _, parts = Input_processor.parts pr in
@@ -159,7 +160,6 @@ let build_state t ~path text =
     f_interface = interface;
     f_refs = refs;
     f_model = model;
-    f_python = Python_emit.emit model;
   }
 
 let info_of path st =
@@ -167,7 +167,7 @@ let info_of path st =
     in_path = path;
     in_functions = List.map fst st.f_parts;
     in_model = st.f_model;
-    in_python = st.f_python;
+    in_python = Python_emit.emit st.f_model;
   }
 
 let watch t ~path text =
@@ -388,14 +388,11 @@ let commit t plan results =
                   | None -> (name, List.assoc name old.f_parts))
                 plan.pl_digests
             in
-            let model, python =
+            let model =
               if dirty then
-                let m =
-                  Metric_gen.assemble ~source_name:plan.pl_path
-                    (List.map snd parts)
-                in
-                (m, Python_emit.emit m)
-              else (old.f_model, old.f_python)
+                Metric_gen.assemble ~source_name:plan.pl_path
+                  (List.map snd parts)
+              else old.f_model
             in
             Hashtbl.replace t.s_files plan.pl_path
               {
@@ -406,9 +403,8 @@ let commit t plan results =
                 f_interface = plan.pl_interface;
                 f_refs = plan.pl_refs;
                 f_model = model;
-                f_python = python;
               };
-            if dirty then touched := (plan.pl_path, model, python) :: !touched
+            if dirty then touched := (plan.pl_path, model) :: !touched
           end);
       (* cross-file dependents, in plan (sorted-path) order *)
       let cross_files =
@@ -439,10 +435,9 @@ let commit t plan results =
               let model =
                 Metric_gen.assemble ~source_name:file (List.map snd parts)
               in
-              let python = Python_emit.emit model in
               Hashtbl.replace t.s_files file
-                { old with f_parts = parts; f_model = model; f_python = python };
-              touched := (file, model, python) :: !touched
+                { old with f_parts = parts; f_model = model };
+              touched := (file, model) :: !touched
           | Some _ -> ())
         cross_files;
       let local, cross =
@@ -468,7 +463,8 @@ let commit t plan results =
         up_cross_files = cross_files;
         up_deleted = plan.pl_deleted;
         up_clean = clean;
-        up_models = List.rev !touched;
+        up_models =
+          List.rev_map (fun (p, m) -> (p, m, Python_emit.emit m)) !touched;
       })
 
 let reanalyze t ~path text =

@@ -6,7 +6,9 @@
    - a formatting-only edit (no line shifts, no AST change) is pure
      cache work: 100% function-tier hits, zero re-analyses;
    - the property holds for random kernels from Kernelgen (the
-     differential fuzzer's generator) at jobs=1 and jobs=4;
+     differential fuzzer's generator) at jobs=1 and jobs=4, and for a
+     warm Session reanalyzing one draw into another at every level
+     (the Python its update reports and its lookup renders);
    - the function tier's disk entries survive a fresh in-memory cache;
    - gc_disk evicts down to the cap and a gutted cache stays correct;
    - a whole file compiled from its prepared AST gives the object bytes
@@ -211,6 +213,42 @@ let incremental_tests =
           (String.equal
              (String.concat "\x00" (List.map python_of cold))
              (String.concat "\x00" (List.map python_of inc))));
+    test_case "random single-kernel edits: warm session = cold" `Quick
+      (fun () ->
+        let rng = rng 4817 in
+        List.iter
+          (fun level ->
+            for _trial = 1 to 4 do
+              let src1 = Kernelgen.render (Kernelgen.gen_kernel rng) in
+              let src2 = Kernelgen.render (Kernelgen.gen_kernel rng) in
+              let cold =
+                match
+                  Batch.run ~level
+                    [ { Batch.src_name = "kern.mc"; src_text = src2 } ]
+                with
+                | [ r ], _ -> python_of r
+                | _ -> fail "unexpected batch shape"
+              in
+              let s = Session.create ~level () in
+              (match Session.watch s ~path:"kern.mc" src1 with
+              | Ok _ -> ()
+              | Error d -> failf "watch: %s" (Diag.to_string d));
+              (match Session.reanalyze s ~path:"kern.mc" src2 with
+              | Error d -> failf "reanalyze: %s" (Diag.to_string d)
+              | Ok u -> (
+                  match u.Session.up_models with
+                  | [ ("kern.mc", _, python) ] ->
+                      check bool "reported python = cold" true
+                        (String.equal cold python)
+                  | [] when u.up_clean -> ()
+                  | _ -> fail "the edit must reassemble exactly kern.mc"));
+              match Session.lookup s ~path:"kern.mc" with
+              | Some info ->
+                  check bool "looked-up python = cold" true
+                    (String.equal cold info.Session.in_python)
+              | None -> fail "kern.mc is no longer watched"
+            done)
+          Mira_codegen.Codegen.[ O0; O1; O2 ]);
     test_case "function disk tier survives a fresh memory cache" `Quick
       (fun () ->
         with_temp_dir (fun dir ->

@@ -23,8 +23,10 @@
      models;
    - the daemon: eval served through the compile cache, with
      compile-hits/compile-misses surfaced in stats (satellite of the
-     serve suite; test_serve.ml itself is unchanged), and programs
-     keyed by source, not by the lossy emitted Python. *)
+     serve suite; test_serve.ml itself is unchanged), programs keyed
+     by source, not by the lossy emitted Python, and function-tier
+     stats that count each cache event once under concurrent
+     requests. *)
 
 open Mira_core
 module Corpus = Mira_corpus.Corpus
@@ -215,7 +217,6 @@ let recursive_model =
                 };
             ];
           mf_warnings = [];
-          mf_update_py = [ Some ""; None ];
         };
       ];
     source_name = "rec.mc";
@@ -341,10 +342,9 @@ let temp_name =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "%s-%d-%d" prefix (Unix.getpid ()) !counter)
 
-let with_server f =
+let with_server ?(config = Fun.id) f =
   let socket = temp_name "mira-compile-serve" ^ ".sock" in
-  let config = Serve.default_config ~socket in
-  let server = Serve.create config in
+  let server = Serve.create (config (Serve.default_config ~socket)) in
   let th = Thread.create (fun () -> ignore (Serve.serve server)) () in
   Fun.protect
     ~finally:(fun () ->
@@ -499,6 +499,54 @@ let test_serve_sweep_counts () =
             (drain 0));
       Alcotest.(check int) "served grew by N+1" (n + 1) (served () - before))
 
+(* A request's Batch.stats deltas also count the traffic of requests
+   running beside it, so the daemon reads its function-tier counters
+   from the cache itself: 64 formatting-only variants of a primed
+   6-function source, 8 at a time behind a 20 ms worker delay, hit the
+   function tier exactly 64 x 6 times. *)
+let test_serve_stats_count_each_cache_event_once () =
+  let slow = { Faults.none with Faults.slow_p = 1.0; slow_ms = 20 } in
+  with_server
+    ~config:(fun c ->
+      {
+        c with
+        Serve.cfg_workers = 8;
+        cfg_faults = Some slow;
+        cfg_cache = Some (Batch.create_cache ());
+      })
+    (fun _ socket ->
+      let analyze source =
+        Serve.Analyze
+          {
+            an_name = "stream.mc";
+            an_source = source;
+            an_budget = Serve.no_budget;
+          }
+      in
+      Alcotest.(check string) "priming analyze" "ok"
+        (request socket (analyze Corpus.stream)).Serve.rs_status;
+      (* trailing newlines miss the file tier but shift no line *)
+      Client.with_endpoint (Endpoint.Unix_sock socket) (fun pool ->
+          Client.sweep pool
+            (List.init 64 (fun i ->
+                 analyze (Corpus.stream ^ String.make (i + 1) '\n'))))
+      |> List.iter (function
+           | Ok r -> Alcotest.(check string) "variant ok" "ok" r.Serve.rs_status
+           | Error m -> Alcotest.failf "variant failed: %s" m);
+      let body = (request socket Serve.Stats).Serve.rs_body in
+      let get key =
+        List.find_map
+          (fun l ->
+            match String.split_on_char '=' l with
+            | [ k; v ] when k = key -> Some v
+            | _ -> None)
+          (String.split_on_char '\n' body)
+        |> Option.value ~default:("no " ^ key)
+      in
+      List.iter
+        (fun (key, v) -> Alcotest.(check string) key v (get key))
+        [ ("fn-mem-hits", "384"); ("fn-analyzed", "0"); ("assembled", "64") ])
+
 let () =
   Alcotest.run "model-compile"
     [
@@ -529,5 +577,7 @@ let () =
             `Quick test_serve_distinct_deferred_sources;
           Alcotest.test_case "a sweep counts every frame it sends" `Quick
             test_serve_sweep_counts;
+          Alcotest.test_case "stats count each cache event once" `Quick
+            test_serve_stats_count_each_cache_event_once;
         ] );
     ]

@@ -10,6 +10,9 @@
      scan, [gc] and [merge];
    - a corrupt [.prog] read is counted and removed like a Batch entry;
    - [Batch.gc_disk] evicts compiled programs too;
+   - each cache version ([Batch.cache_version],
+     [Batch.fn_cache_version], [Model_compile.cache_version]) pins the
+     bytes its tier writes for one analysis;
    - two concurrent [mira batch] processes over one fresh directory
      never collide on a temporary name (zero I/O retries). *)
 
@@ -270,6 +273,77 @@ let test_gc_evicts_programs () =
             (files_with_suffix dir suffix))
         tiers)
 
+(* ---------- payload bytes, pinned per cache version ---------- *)
+
+(* Unmarshalling a stale layout as a new type is undefined behaviour,
+   so each cache version pins the bytes its tier writes for one
+   analysis: corpus stream.mc at O1, then its stream_triad program
+   over n.  A digest that changes under an unchanged version fails
+   until that version is bumped; a new version fails until the table
+   that MIRA_GOLDEN_GEN=1 prints is pasted here. *)
+let pinned_payloads =
+  [
+    ("mira-batch-5", ".model", "a1f00434b2674074bf18ead1a6f19bc4");
+    ("mira-fn-4", ".fnmodel", "920117469b2c480b942b38ad8157e505");
+    ("mira-prog-3", ".prog", "e658f706aa5957447829ef7ee3fc3a25");
+  ]
+
+let payload_digests () =
+  Batch.set_fsync false;
+  Fun.protect
+    ~finally:(fun () -> Batch.set_fsync true)
+    (fun () ->
+      with_dir "mira-store-payloads" (fun dir ->
+          let text = Option.get (Mira_corpus.Corpus.find "stream") in
+          let model =
+            match
+              Batch.run ~cache:(Batch.create_cache ~dir ())
+                [ { Batch.src_name = "stream.mc"; src_text = text } ]
+            with
+            | [ Ok a ], _ -> a.Batch.a_model
+            | _ -> Alcotest.fail "stream.mc did not analyze"
+          in
+          (match
+             Model_compile.get (Model_compile.create_cache ~dir ())
+               ~digest:(Batch.key ~level:Mira_codegen.Codegen.O1 text)
+               ~model ~fname:"stream_triad" ~sweep:[ "n" ] ~fixed:[] ()
+           with
+          | Ok _ -> ()
+          | Error m -> Alcotest.failf "stream_triad did not compile: %s" m);
+          let bytes f =
+            In_channel.with_open_bin (Filename.concat dir f)
+              In_channel.input_all
+          in
+          List.map
+            (fun (version, suffix) ->
+              ( version,
+                suffix,
+                Digest.to_hex
+                  (Digest.string
+                     (String.concat ""
+                        (List.map bytes (files_with_suffix dir suffix)))) ))
+            [
+              (Batch.cache_version, ".model");
+              (Batch.fn_cache_version, ".fnmodel");
+              (Model_compile.cache_version, ".prog");
+            ]))
+
+let test_payloads_pinned () =
+  List.iter
+    (fun (version, suffix, digest) ->
+      match
+        List.find_opt (fun (v, _, _) -> String.equal v version) pinned_payloads
+      with
+      | None ->
+          Alcotest.failf
+            "%s is not pinned: paste the table MIRA_GOLDEN_GEN=1 \
+             test_store.exe prints"
+            version
+      | Some (_, _, pinned) ->
+          if not (String.equal pinned digest) then
+            Alcotest.failf "%s payload bytes changed: bump %s" suffix version)
+    (payload_digests ())
+
 (* ---------- two processes, one directory ---------- *)
 
 let io_retries output =
@@ -337,6 +411,12 @@ let test_concurrent_batches_never_collide () =
         procs)
 
 let () =
+  if Sys.getenv_opt "MIRA_GOLDEN_GEN" <> None then begin
+    List.iter
+      (fun (v, suffix, d) -> Printf.printf "    (%S, %S, %S);\n" v suffix d)
+      (payload_digests ());
+    exit 0
+  end;
   Alcotest.run "store"
     [
       ( "memory",
@@ -360,6 +440,11 @@ let () =
             `Quick test_corrupt_prog_counted_and_removed;
           Alcotest.test_case "gc evicts compiled programs" `Quick
             test_gc_evicts_programs;
+        ] );
+      ( "versions",
+        [
+          Alcotest.test_case "each cache version pins its payload bytes"
+            `Quick test_payloads_pinned;
         ] );
       ( "processes",
         [
