@@ -41,16 +41,21 @@ ci:
 # emitted Python against the evaluator — and the pipeline's
 # byte-identity oracle (warm analysis against cold) re-run with the
 # same seeds as MIRA_FUZZ_SEED, so each draws three sets of random
-# kernels.
+# kernels.  The counting properties (closed forms against enumeration,
+# among them factored counts of random product domains) re-run with
+# the same seeds as QCHECK_SEED, so each draws three sets of domains:
+# without it qcheck picks a fresh seed on every run.
 ci-seeds: build
 	for s in 20260806 7 424242; do \
-	  echo "== MIRA_FAULT_SEED=$$s MIRA_FUZZ_SEED=$$s"; \
-	  MIRA_FAULT_SEED=$$s MIRA_FUZZ_SEED=$$s timeout --kill-after=30 300 \
+	  echo "== MIRA_FAULT_SEED=$$s MIRA_FUZZ_SEED=$$s QCHECK_SEED=$$s"; \
+	  MIRA_FAULT_SEED=$$s MIRA_FUZZ_SEED=$$s QCHECK_SEED=$$s \
+	  timeout --kill-after=30 300 \
 	    sh -ec 'cd _build/default/test \
 	      && ./test_faults.exe -e && ./test_cluster.exe -e \
 	      && ./test_serve.exe -e && ./test_protocol.exe -e \
 	      && ./test_differential.exe -e && ./test_model_compile.exe -e \
-	      && ./test_minipy.exe -e && ./test_incremental.exe -e' || exit 1; \
+	      && ./test_minipy.exe -e && ./test_incremental.exe -e \
+	      && ./test_poly.exe -e' || exit 1; \
 	done
 
 # Chaos smoke: the self-healing-fleet harness end to end — seeded

@@ -1247,7 +1247,7 @@ let watch_cmd =
            analysis of the file's current text, byte for byte *)
         let check_models (upd : Mira_core.Session.update) =
           List.iter
-            (fun (path, _, py) ->
+            (fun (path, model) ->
               let text =
                 Option.value
                   (Mira_core.Session.source session ~path)
@@ -1258,7 +1258,10 @@ let watch_cmd =
                   [ { Mira_core.Batch.src_name = path; src_text = text } ]
               in
               match cold with
-              | [ Ok a ] when a.Mira_core.Batch.a_python = py -> ()
+              | [ Ok a ]
+                when a.Mira_core.Batch.a_python
+                     = Mira_core.Python_emit.emit model ->
+                  ()
               | _ ->
                   Printf.eprintf
                     "error: %s: warm model diverges from cold analysis\n" path;

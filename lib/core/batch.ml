@@ -65,19 +65,20 @@ type stats = {
 
 (* ---------- content addressing ---------- *)
 
-(* bumped from mira-batch-4: a payload's model no longer carries each
-   entry's rendered Python, so an older payload has another layout and
-   must never be unmarshalled as this one — versioning the key keeps it
-   from ever being looked up (it ages out under the old version via
+(* bumped from mira-batch-5: Count factors a guarded domain into
+   independent loop groups, so the same text now gives another (much
+   smaller) model, and warm analysis must equal cold — a parent-written
+   entry would serve the old form.  The key embeds the version, so an
+   entry of another version is never looked up (it ages out under
    gc_disk).  test_store pins each version's payload bytes. *)
-let cache_version = "mira-batch-5"
+let cache_version = "mira-batch-6"
 
 (* the function tier versions independently of the file tier: it keys
    marshalled Metric_gen.part values, whose layout can change without
    the file payloads changing (and vice versa) *)
-(* bumped from mira-fn-3: a part no longer carries its Update entries'
-   rendered Python *)
-let fn_cache_version = "mira-fn-4"
+(* bumped from mira-fn-4 for the same reason as mira-batch-6: a part's
+   counts are factored per independent loop group *)
+let fn_cache_version = "mira-fn-5"
 
 let level_tag = function
   | Mira_codegen.Codegen.O0 -> "O0"

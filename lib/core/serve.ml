@@ -1107,7 +1107,8 @@ let reanalyze_done_response (upd : Session.update) =
       (Json.to_string
          (Json.Arr
             (List.map
-               (fun (p, m, py) ->
+               (fun (p, m) ->
+                 let py = Python_emit.emit m in
                  Json.Obj
                    [
                      ("file", Json.Str p);

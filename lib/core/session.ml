@@ -6,8 +6,9 @@
    the file's exported interface
    ({!Mira_srclang.Fingerprint.interface_of_program}) and each
    function's cross-file reference set ({!Fingerprint.func_refs}).
-   It keeps no Python: {!info_of} and {!commit} render the models
-   they report.
+   It keeps no Python: {!info_of} renders the model it reports, and
+   {!commit} reports models alone, which the callers that show Python
+   render themselves.
 
    A file is first analyzed whole, as a cold batch source is
    ([Input_processor.parts] → [Metric_gen.assemble]).  Reanalysis is
@@ -109,7 +110,7 @@ type update = {
   up_cross_files : string list;
   up_deleted : string list;
   up_clean : bool;
-  up_models : (string * Model_ir.t * string) list;
+  up_models : (string * Model_ir.t) list;
 }
 
 let create ?(level = Mira_codegen.Codegen.O1) ?(limits = Limits.default) () =
@@ -463,8 +464,7 @@ let commit t plan results =
         up_cross_files = cross_files;
         up_deleted = plan.pl_deleted;
         up_clean = clean;
-        up_models =
-          List.rev_map (fun (p, m) -> (p, m, Python_emit.emit m)) !touched;
+        up_models = List.rev !touched;
       })
 
 let reanalyze t ~path text =

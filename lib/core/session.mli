@@ -66,10 +66,10 @@ type update = {
   up_cross_files : string list;  (** other files touched, sorted *)
   up_deleted : string list;  (** functions removed by the edit *)
   up_clean : bool;  (** nothing invalidated and nothing deleted *)
-  up_models : (string * Model_ir.t * string) list;
-      (** (path, model, python) for every file whose model was
-          reassembled — each byte-identical to a cold analysis of that
-          file's current text *)
+  up_models : (string * Model_ir.t) list;
+      (** (path, model) for every file whose model was reassembled —
+          each renders ({!Python_emit.emit}) byte-identical to a cold
+          analysis of that file's current text *)
 }
 
 val create : ?level:Mira_codegen.Codegen.level -> ?limits:Limits.t -> unit -> t

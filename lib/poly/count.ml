@@ -211,11 +211,11 @@ let rec sum_level ~assume x ~lo ~hi ~step ~(extra : Domain.guard list) e =
             Expr.mul e iters)
   | _ :: _, _ -> raise Give_up
 
+let guard_vars = function
+  | Domain.Ge p | Domain.Mod_eq (p, _) | Domain.Mod_ne (p, _) -> Poly.vars p
+
 let deepest_level_of_guard (t : Domain.t) g =
-  let vs =
-    match g with
-    | Domain.Ge p | Domain.Mod_eq (p, _) | Domain.Mod_ne (p, _) -> Poly.vars p
-  in
+  let vs = guard_vars g in
   let rec go i best = function
     | [] -> best
     | l :: rest ->
@@ -223,7 +223,44 @@ let deepest_level_of_guard (t : Domain.t) g =
   in
   go 0 (-1) t.levels
 
-let count ?(assume_nonempty = true) (t : Domain.t) : result =
+(* Partition the level indices into independent groups: two levels
+   share a group when a bound of one names the other's variable, or a
+   guard names both.  A point of the domain is then a point of each
+   group's sub-nest, so the count is the product of the groups' counts.
+   Groups come innermost first (ordered by their innermost level) and
+   list their levels outermost first. *)
+let independent_groups (t : Domain.t) =
+  let n = List.length t.levels in
+  let group = Array.init n Fun.id in
+  let index v = List.find_index (fun (l : Domain.level) -> l.var = v) t.levels in
+  let link vs =
+    match List.filter_map index vs with
+    | [] -> ()
+    | i :: rest ->
+        List.iter
+          (fun j ->
+            let a = group.(i) and b = group.(j) in
+            Array.iteri (fun k g -> if g = b then group.(k) <- a) group)
+          rest
+  in
+  List.iter
+    (fun (l : Domain.level) -> link ((l.var :: Poly.vars l.lo) @ Poly.vars l.hi))
+    t.levels;
+  List.iter (fun g -> link (guard_vars g)) t.guards;
+  let ids = List.init n Fun.id in
+  List.filter_map
+    (fun i ->
+      if List.exists (fun k -> k > i && group.(k) = group.(i)) ids then None
+      else Some (List.filter (fun k -> group.(k) = group.(i)) ids))
+    (List.rev ids)
+
+(* The paper's counting convention (§III-C2): source loop ranges are
+   non-empty as written, so the polyhedral model multiplies level counts
+   without emptiness guards.  Pieces of a range split at a guard's
+   breakpoint may be empty and are always guarded (see [split_if]). *)
+let assume_nonempty = true
+
+let count (t : Domain.t) : result =
   match Domain.validate t with
   | Error _ -> Deferred t
   | Ok () -> (
@@ -238,20 +275,37 @@ let count ?(assume_nonempty = true) (t : Domain.t) : result =
             else guards_at.(d) <- guards_at.(d) @ [ g ])
           t.guards;
         let levels = Array.of_list t.levels in
-        let e = ref Expr.one in
-        for i = n - 1 downto 0 do
-          let l = levels.(i) in
-          e :=
-            sum_level ~assume:assume_nonempty l.var ~lo:l.lo ~hi:l.hi
-              ~step:l.step ~extra:guards_at.(i) !e
-        done;
+        (* Sum 1 over the levels [ids] (outermost first), innermost
+           level first. *)
+        let sum_nest ids =
+          List.fold_right
+            (fun i e ->
+              let l = levels.(i) in
+              sum_level ~assume:assume_nonempty l.var ~lo:l.lo ~hi:l.hi
+                ~step:l.step ~extra:guards_at.(i) e)
+            ids Expr.one
+        in
+        let all = List.init n Fun.id in
+        (* A guard-free nest is already a product of polynomials, and a
+           lone group's count is returned as is: multiplying it by 1
+           would copy a constant that many entries share. *)
+        let e =
+          if t.guards = [] then sum_nest all
+          else
+            match independent_groups t with
+            | [] | [ _ ] -> sum_nest all
+            | g :: gs ->
+                List.fold_left
+                  (fun acc g -> Expr.mul acc (sum_nest g))
+                  (sum_nest g) gs
+        in
         let e =
           List.fold_left
             (fun e g ->
               match g with
               | Domain.Ge p -> Expr.if_ p e Expr.zero
               | Domain.Mod_eq _ | Domain.Mod_ne _ -> raise Give_up)
-            !e !param_guards
+            e !param_guards
         in
         Closed e
       with Give_up -> Deferred t)

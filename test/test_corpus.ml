@@ -143,6 +143,54 @@ let minife_tests =
                 warnings)));
   ]
 
+(* assemble's 27-point loop is the domain whose bounds checks factor
+   into one group per axis; the VM is its oracle at every level, on
+   grids whose edges leave each axis with 1 to 6 cells. *)
+let assemble_tests =
+  let open Alcotest in
+  let sizes = [ 1; 2; 3; 4; 6 ] in
+  [
+    test_case "assemble: model = VM at {1,2,3,4,6}^3, O0-O2" `Quick
+      (fun () ->
+        List.iter
+          (fun level ->
+            let m =
+              Mira_core.Mira.analyze ~level ~source_name:"minife.mc"
+                Mira_corpus.Corpus.minife
+            in
+            let check_grid nx ny nz =
+              let static =
+                Mira_core.Mira.counts m ~fname:"assemble"
+                  ~env:[ ("nx", nx); ("ny", ny); ("nz", nz) ]
+              in
+              let vm = Mira_vm.Vm.load_object m.input.object_bytes in
+              let nrows = nx * ny * nz in
+              let row_ptr = Mira_vm.Vm.zeros_i vm (nrows + 1) in
+              let col_idx = Mira_vm.Vm.zeros_i vm (27 * nrows) in
+              let vals = Mira_vm.Vm.zeros_f vm (27 * nrows) in
+              ignore
+                (Mira_vm.Vm.call vm "assemble"
+                   [ Int nx; Int ny; Int nz; Int row_ptr; Int col_idx;
+                     Int vals ]);
+              let p = Option.get (Mira_vm.Vm.profile_of vm "assemble") in
+              List.iter
+                (fun mn ->
+                  check (float 0.0)
+                    (Printf.sprintf "%s at nx=%d ny=%d nz=%d" mn nx ny nz)
+                    (float_of_int (Mira_vm.Vm.count_of p mn))
+                    (Mira_core.Model_eval.count static mn))
+                (List.sort_uniq compare
+                   (List.map fst static @ List.map fst p.Mira_vm.Vm.inclusive))
+            in
+            List.iter
+              (fun nx ->
+                List.iter
+                  (fun ny -> List.iter (fun nz -> check_grid nx ny nz) sizes)
+                  sizes)
+              sizes)
+          Mira_codegen.Codegen.[ O0; O1; O2 ]);
+  ]
+
 let coverage_tests =
   let open Alcotest in
   [
@@ -182,5 +230,6 @@ let () =
       ("stream", stream_tests);
       ("dgemm", dgemm_tests);
       ("minife", minife_tests);
+      ("assemble", assemble_tests);
       ("coverage", coverage_tests);
     ]

@@ -237,9 +237,9 @@ let incremental_tests =
               | Error d -> failf "reanalyze: %s" (Diag.to_string d)
               | Ok u -> (
                   match u.Session.up_models with
-                  | [ ("kern.mc", _, python) ] ->
+                  | [ ("kern.mc", model) ] ->
                       check bool "reported python = cold" true
-                        (String.equal cold python)
+                        (String.equal cold (Python_emit.emit model))
                   | [] when u.up_clean -> ()
                   | _ -> fail "the edit must reassemble exactly kern.mc"));
               match Session.lookup s ~path:"kern.mc" with

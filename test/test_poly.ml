@@ -38,6 +38,27 @@ let tri_n =
   Domain.add_level d
     (Domain.level "j" ~lo:(v "i") ~hi:(Poly.sub (v "n") Poly.one))
 
+(* miniFE's 27-point assembly: cells ia in 0..na-1 and offsets da in
+   -1..1 on each axis, counted where the neighbour is in bounds,
+   0 <= ia + da <= na - 1.  Only (ia, da) pairs share a guard, so the
+   count is a product of one factor 3na - 2 per axis. *)
+let stencil27 =
+  let axes = [ "z"; "y"; "x" ] in
+  let n a = v ("n" ^ a) in
+  let cell a = Domain.level ("i" ^ a) ~lo:(p_int 0) ~hi:(Poly.sub (n a) Poly.one) in
+  let offset a = Domain.level ("d" ^ a) ~lo:(p_int (-1)) ~hi:(p_int 1) in
+  let d =
+    List.fold_left Domain.add_level Domain.empty
+      (List.map cell axes @ List.map offset axes)
+  in
+  List.fold_left
+    (fun d a ->
+      let j = Poly.add (v ("i" ^ a)) (v ("d" ^ a)) in
+      Domain.add_guard
+        (Domain.add_guard d (Domain.Ge j))
+        (Domain.Ge (Poly.sub (Poly.sub (n a) Poly.one) j)))
+    d (List.rev axes)
+
 let closed_exn = function
   | Count.Closed e -> e
   | Count.Deferred _ -> Alcotest.fail "expected closed-form count"
@@ -199,6 +220,29 @@ let count_tests =
             check int (Printf.sprintf "n=%d matches enumeration" n) (brute n)
               (count_at [ ("n", n) ] d))
           [ 1; 2; 3; 4; 5 ]);
+    test_case "27-point stencil count is a product of per-axis factors"
+      `Quick (fun () ->
+        let e = closed_exn (Count.count stencil27) in
+        for nx = 1 to 6 do
+          for ny = 1 to 6 do
+            for nz = 1 to 6 do
+              let env = function
+                | "nx" -> nx
+                | "ny" -> ny
+                | "nz" -> nz
+                | x -> failf "unexpected variable %s" x
+              in
+              check int
+                (Printf.sprintf "(3nx-2)(3ny-2)(3nz-2) at %d,%d,%d" nx ny nz)
+                (((3 * nx) - 2) * ((3 * ny) - 2) * ((3 * nz) - 2))
+                (Expr.eval_int env e)
+            done
+          done
+        done;
+        let bytes = String.length (Expr.to_python e) in
+        check bool
+          (Printf.sprintf "python is %d bytes, under 4 KB" bytes)
+          true (bytes < 4096));
     test_case "mira count matches paper fig 4 narrative" `Quick (fun () ->
         (* Introducing the constraint shrinks the domain: 14 -> 8. *)
         check bool "smaller" true (count_at [] listing4 < count_at [] listing2));
@@ -302,6 +346,98 @@ let nest3_arb =
     ~print:(fun d -> Format.asprintf "%a" Domain.pp d)
     random_nest3_gen
 
+(* Products of 2-3 independent groups, the shape factoring counts one
+   group at a time.  Group g has its own parameter n<g> and one or two
+   levels x<g>, y<g> whose bounds are affine in n<g> (and, for y<g>, in
+   x<g>), each range non-empty as written for every n<g> >= 0 and every
+   x<g> in its range; up to two guards per group couple its variables,
+   also affine in n<g>.  The groups' levels are interleaved at random,
+   keeping each group's order, as miniFE interleaves its cell and
+   offset loops. *)
+let random_product_gen =
+  let open QCheck.Gen in
+  let group g =
+    let n = v (Printf.sprintf "n%d" g) in
+    let vars = [ Printf.sprintf "x%d" g; Printf.sprintf "y%d" g ] in
+    let affine ~outer k a =
+      Poly.sum [ outer; p_int k; Poly.scale (Ratio.of_int a) n ]
+    in
+    (* [lo] is [outer] plus an affine term in n; [hi] adds a span
+       that is never negative: a constant, a multiple of n and
+       [widen], which is non-negative over the level's range. *)
+    let level name ~outer ~widen =
+      let* off = int_range (-2) 2 in
+      let* a = int_range (-1) 1 in
+      let* span = int_range 0 2 in
+      let* b = int_range 0 1 in
+      let lo = affine ~outer off a in
+      return (Domain.level name ~lo ~hi:(affine ~outer:(Poly.add lo widen) span b))
+    in
+    let* depth = int_range 1 2 in
+    let* outer = level (List.hd vars) ~outer:Poly.zero ~widen:Poly.zero in
+    let* levels =
+      if depth = 1 then return [ outer ]
+      else
+        let x = v (List.hd vars) in
+        let* dep = int_range (-1) 1 in
+        let* tri = int_range 0 1 in
+        (* tri = 1 makes the inner range's length grow with x, so the
+           two levels stay dependent even without a guard. *)
+        let* inner =
+          level (List.nth vars 1)
+            ~outer:(Poly.scale (Ratio.of_int dep) x)
+            ~widen:(Poly.scale (Ratio.of_int tri) (Poly.sub x outer.Domain.lo))
+        in
+        return [ outer; inner ]
+    in
+    let guard =
+      let* cs = list_repeat depth (oneofl [ -1; 1 ]) in
+      let* k = int_range (-3) 3 in
+      let* a = int_range (-1) 1 in
+      let xs =
+        List.map2 (fun c x -> Poly.scale (Ratio.of_int c) (v x)) cs
+          (List.filteri (fun i _ -> i < depth) vars)
+      in
+      return (Domain.Ge (affine ~outer:(Poly.sum xs) k a))
+    in
+    let* nguards = int_range 0 2 in
+    let* guards = list_repeat nguards guard in
+    return (levels, guards)
+  in
+  let* ngroups = int_range 2 3 in
+  let* groups = flatten_l (List.init ngroups group) in
+  let total = List.fold_left (fun k (ls, _) -> k + List.length ls) 0 groups in
+  let* picks = list_repeat total (int_range 0 (ngroups - 1)) in
+  (* Take each next level from the picked group, or from the first
+     group with levels left once the picked one is exhausted. *)
+  let pending = Array.of_list (List.map fst groups) in
+  let take d pick =
+    let g =
+      if pending.(pick) <> [] then pick
+      else
+        let rec first i = if pending.(i) <> [] then i else first (i + 1) in
+        first 0
+    in
+    let l = List.hd pending.(g) in
+    pending.(g) <- List.tl pending.(g);
+    Domain.add_level d l
+  in
+  let d = List.fold_left take Domain.empty picks in
+  return (List.fold_left Domain.add_guard d (List.concat_map snd groups))
+
+let product_arb =
+  QCheck.make
+    ~print:(fun d -> Format.asprintf "%a" Domain.pp d)
+    random_product_gen
+
+(* Every binding of [params] to 1..5. *)
+let rec param_box = function
+  | [] -> [ [] ]
+  | p :: ps ->
+      List.concat_map
+        (fun rest -> List.init 5 (fun i -> (p, i + 1) :: rest))
+        (param_box ps)
+
 let count_props =
   [
     QCheck.Test.make ~name:"symbolic count = enumeration" ~count:500 nest_arb
@@ -324,6 +460,16 @@ let count_props =
         | Count.Closed e ->
             Expr.eval_int (fun _ -> assert false) e
             = Enumerate.count ~params:[] d);
+    QCheck.Test.make ~name:"factored parametric closed forms are exact"
+      ~count:200 product_arb (fun d ->
+        match Count.count d with
+        | Count.Deferred _ -> QCheck.assume_fail ()
+        | Count.Closed e ->
+            List.for_all
+              (fun params ->
+                Expr.eval_int (fun x -> List.assoc x params) e
+                = Enumerate.count ~params d)
+              (param_box (Domain.parameters d)));
   ]
 
 let plot_tests =

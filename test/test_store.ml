@@ -286,6 +286,8 @@ let pinned_payloads =
     ("mira-batch-5", ".model", "a1f00434b2674074bf18ead1a6f19bc4");
     ("mira-fn-4", ".fnmodel", "920117469b2c480b942b38ad8157e505");
     ("mira-prog-3", ".prog", "e658f706aa5957447829ef7ee3fc3a25");
+    ("mira-batch-6", ".model", "a1f00434b2674074bf18ead1a6f19bc4");
+    ("mira-fn-5", ".fnmodel", "b93070384a478dde177191a18f62927c");
   ]
 
 let payload_digests () =

@@ -252,7 +252,7 @@ let test_signature_change () =
     "c.mc's model was not reassembled"
     [ "a.mc"; "b.mc" ]
     (List.sort compare
-       (List.map (fun (p, _, _) -> p) upd.Session.up_models));
+       (List.map fst upd.Session.up_models));
   check_byte_identity s;
   check_counters "signature" [ 3; 1; 3; 2; 1; 3; 0 ] s
 
